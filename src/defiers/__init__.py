@@ -27,8 +27,6 @@ from .combinatorics import (
     LOG_ZERO,
     exact_binomial,
     log_binomial,
-    log_factorial_table,
-    log_sum_exp,
 )
 from .likelihood import (
     PopulationShares,
@@ -56,7 +54,6 @@ from .inference import (
     CredibleSummary,
     MleResult,
     PosteriorTable,
-    frechet_rule_support,
     mle,
     monotonicity_mle,
     posterior,

@@ -26,6 +26,7 @@ from .core import (
     Theta,
 )
 from .evaluation import (
+    BAYES_MAX_N_CR,
     heatmap,
     monty_hall_likelihoods,
     rule_comparison_curve,
@@ -219,9 +220,10 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 def _cmd_compare_rules(args: argparse.Namespace) -> int:
     if args.max_n < 2 or args.max_n % 2 != 0:
         raise _CliError(f"--max-n must be even and >= 2, got {args.max_n}", EXIT_INPUT)
-    if args.max_n > 60:
+    if args.max_n > BAYES_MAX_N_CR:
         raise _CliError(
-            f"--max-n {args.max_n} exceeds the exact-evaluation guard of 60", EXIT_BUDGET
+            f"--max-n {args.max_n} exceeds the exact-evaluation guard of {BAYES_MAX_N_CR}",
+            EXIT_BUDGET,
         )
     progress = _progress(args)
     rows = []

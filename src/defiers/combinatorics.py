@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -19,23 +18,6 @@ LOG_ZERO = float("-inf")
 # treated as a suspected tie; suspected ties are confirmed exactly before
 # being reported as ties.
 LOG_TIE_RTOL = 1e-9
-
-_log_fact = np.zeros(1)
-
-
-def log_factorial_table(n: int) -> np.ndarray:
-    """Array of ln(k!) for k = 0..n, grown once per session and shared read-only.
-
-    Entry k is the cumulative sum of ln(1)..ln(k), so consecutive entries
-    differ by ln(k) up to accumulation rounding.
-    """
-    global _log_fact
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n >= _log_fact.size:
-        ks = np.arange(1, n + 1, dtype=np.float64)
-        _log_fact = np.concatenate(([0.0], np.cumsum(np.log(ks))))
-    return _log_fact[: n + 1]
 
 
 def exact_binomial(n: int, k: int) -> int:
@@ -60,18 +42,6 @@ def log_binomial(n: int, k: int) -> float:
     if k == 0 or k == n:
         return 0.0
     return math.log(math.comb(n, k))
-
-
-def log_sum_exp(terms: Iterable[float]) -> float:
-    """ln sum(exp(t)); empty input or all -inf gives -inf."""
-    arr = np.asarray(list(terms) if not isinstance(terms, np.ndarray) else terms,
-                     dtype=np.float64)
-    if arr.size == 0:
-        return LOG_ZERO
-    m = float(np.max(arr))
-    if m == LOG_ZERO:
-        return LOG_ZERO
-    return m + float(np.log(np.sum(np.exp(arr - m))))
 
 
 @functools.lru_cache(maxsize=8)

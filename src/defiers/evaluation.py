@@ -41,53 +41,60 @@ FISHER_SLACK = 1e-7
 
 WeightedGuess = Sequence[tuple[Theta, float]]
 
-
-@dataclass(frozen=True)
-class DecisionRule:
-    """Maps observed data to a weighted set of guesses (weights sum to one).
-
-    The three named kinds have fast vectorized evaluation paths; arbitrary
-    rules supply a callable and are evaluated pointwise.
-    """
-
-    kind: str
-    decide_fn: Callable[[ExperimentData, Design], WeightedGuess] | None = None
-
-    def decide(self, x: ExperimentData, design: Design) -> WeightedGuess:
-        if self.decide_fn is not None:
-            return self.decide_fn(x, design)
-        flat, _ = _rule_support(self, assignment_count_grid(x), x, design)
-        thetas = _thetas_from_flat(x.n, flat)
-        w = 1.0 / len(thetas)
-        return [(theta, w) for theta in thetas]
+# A decision rule maps one data realization, with its assignment-count grid,
+# to the flat indices of its guesses and the weight on each (a scalar when
+# all weights are equal): rule(grid, x, design) -> (flat_indices, weight).
+DecisionRule = Callable[
+    [np.ndarray, ExperimentData, Design], tuple[np.ndarray, "float | np.ndarray"]
+]
 
 
-MAX_LIKELIHOOD_RULE = DecisionRule("max_likelihood")
-FRECHET_RULE = DecisionRule("frechet_uniform")
-MONOTONICITY_RULE = DecisionRule("monotonicity")
-
-
-def custom_rule(fn: Callable[[ExperimentData, Design], WeightedGuess]) -> DecisionRule:
-    return DecisionRule("custom", fn)
-
-
-def _rule_support(
-    rule: DecisionRule, grid: np.ndarray, x: ExperimentData, design: Design
+def MAX_LIKELIHOOD_RULE(
+    grid: np.ndarray, x: ExperimentData, design: Design
 ) -> tuple[np.ndarray, float]:
-    """Flat indices of the rule's guesses and their common weight."""
-    if rule.kind == "max_likelihood":
-        flat, _ = _argmax_ties(grid, x)
-    elif rule.kind == "monotonicity":
-        flat, _ = _argmax_ties(grid, x, _monotone_flat_indices(x.n))
-    elif rule.kind == "frechet_uniform":
-        fs = frechet_set(estimate_marginals(x, design))
-        index = theta_index(x.n)
-        ds = np.arange(fs.defier_lo, fs.defier_hi + 1, dtype=np.int64)
-        m = fs.marginals
-        flat = index.flatten(m.mc - ds, m.m1 - m.mc + ds, ds)
-    else:
-        raise ValueError(f"no fast path for rule kind {rule.kind!r}")
+    """Every likelihood maximizer, with equal weights."""
+    flat, _ = _argmax_ties(grid, x)
     return flat, 1.0 / flat.size
+
+
+def MONOTONICITY_RULE(
+    grid: np.ndarray, x: ExperimentData, design: Design
+) -> tuple[np.ndarray, float]:
+    """Every maximizer among no-defier or no-complier vectors, with equal weights."""
+    flat, _ = _argmax_ties(grid, x, _monotone_flat_indices(x.n))
+    return flat, 1.0 / flat.size
+
+
+def FRECHET_RULE(
+    grid: np.ndarray, x: ExperimentData, design: Design
+) -> tuple[np.ndarray, float]:
+    """Every member of the estimated Fréchet set, with equal weights.
+
+    Data with an empty arm do not estimate the marginals, so there the rule
+    makes no guess: its support is empty and its utility is zero, which is
+    its probability of guessing right.
+    """
+    if x.intervention_size == 0 or x.control_size == 0:
+        return np.empty(0, dtype=np.int64), 0.0
+    fs = frechet_set(estimate_marginals(x, design))
+    ds = np.arange(fs.defier_lo, fs.defier_hi + 1, dtype=np.int64)
+    m = fs.marginals
+    flat = theta_index(x.n).flatten(m.mc - ds, m.m1 - m.mc + ds, ds)
+    return flat, 1.0 / flat.size
+
+
+def custom_rule(decide: Callable[[ExperimentData, Design], WeightedGuess]) -> DecisionRule:
+    """Decision rule from a function returning ``[(theta, weight), ...]`` for data."""
+
+    def rule(
+        grid: np.ndarray, x: ExperimentData, design: Design
+    ) -> tuple[np.ndarray, np.ndarray]:
+        guesses = decide(x, design)
+        index = theta_index(x.n)
+        flat = np.asarray([index.flat(theta) for theta, _ in guesses], dtype=np.int64)
+        return flat, np.asarray([weight for _, weight in guesses])
+
+    return rule
 
 
 def _data_space(n: int, design: Design) -> list[ExperimentData]:
@@ -157,16 +164,8 @@ def rule_eu_vectors(
         scale = math.exp(log_const)
         parts = []
         for rule in rules:
-            if rule.decide_fn is None:
-                flat, weight = _rule_support(rule, grid, x, design)
-                parts.append((flat, grid[flat] * (weight * scale)))
-            else:
-                guesses = rule.decide_fn(x, design)
-                flat = np.asarray(
-                    [theta_index(n).flat(theta) for theta, _ in guesses], dtype=np.int64
-                )
-                w = np.asarray([wt for _, wt in guesses])
-                parts.append((flat, grid[flat] * w * scale))
+            flat, weight = rule(grid, x, design)
+            parts.append((flat, grid[flat] * (weight * scale)))
         return parts
 
     xs = _data_space(n, design)

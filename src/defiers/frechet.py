@@ -61,28 +61,23 @@ def marginals_of(theta: Theta) -> Marginals:
 
 
 def _round_half_away(value: Fraction) -> int:
-    """Nearest integer, halves away from zero, computed exactly."""
-    if value >= 0:
-        return int((2 * value + 1) // 2)
-    return -int((-2 * value + 1) // 2)
+    """Nearest integer to a non-negative value, halves rounded up, computed exactly."""
+    return int((2 * value + 1) // 2)
 
 
-def estimate_marginals(
-    x: ExperimentData, design: Design, *, expected_arm_sizes: bool = True
-) -> Marginals:
+def estimate_marginals(x: ExperimentData, design: Design) -> Marginals:
     """Marginal takeup counts estimated from observed takeup rates, rounded.
 
     Rates are scaled to counts out of n, rounded half away from zero, and
     clamped to [0, n].  For Bernoulli designs the denominator is the expected
-    arm size n*p per the probability form of the estimator; pass
-    ``expected_arm_sizes=False`` to use realized arm sizes instead (documented
-    deviation, matching the completely randomized formula).
+    arm size n*p per the probability form of the estimator; completely
+    randomized designs use the realized arm sizes.
     """
     check_design(x, design)
     if x.intervention_size == 0 or x.control_size == 0:
         raise DegenerateDataError("marginal estimation needs both arms non-empty")
     n = x.n
-    if isinstance(design, Bernoulli) and expected_arm_sizes:
+    if isinstance(design, Bernoulli):
         p = Fraction(design.p)
         m1_raw = Fraction(x.i1) / p
         mc_raw = Fraction(x.c1) / (1 - p)

@@ -28,7 +28,6 @@ from .likelihood import (
     exact_assignment_count,
     log_likelihood,
 )
-from .frechet import FrechetSet, estimate_marginals, frechet_set
 
 # Full posterior tables (zero-mass entries included) are materialized up to
 # this sample size; larger grids keep positive-mass entries only.
@@ -107,17 +106,23 @@ def _thetas_from_flat(n: int, flat: np.ndarray) -> tuple[Theta, ...]:
     )
 
 
-def mle(x: ExperimentData, design: Design) -> MleResult:
-    """Exhaustive grid-search maximum likelihood estimate, with all ties."""
+def _mle_over(
+    x: ExperimentData, design: Design, candidate_flat: np.ndarray | None
+) -> MleResult:
+    """All maximizers among ``candidate_flat`` (None: the whole grid)."""
     check_design(x, design)
-    grid = _cached_grid(x)
-    flat, verified = _argmax_ties(grid, x)
+    flat, verified = _argmax_ties(_cached_grid(x), x, candidate_flat)
     maximizers = _thetas_from_flat(x.n, flat)
     return MleResult(
         maximizers=maximizers,
         log_likelihood=log_likelihood(maximizers[0], x, design),
         tie_verified_exact=verified,
     )
+
+
+def mle(x: ExperimentData, design: Design) -> MleResult:
+    """Exhaustive grid-search maximum likelihood estimate, with all ties."""
+    return _mle_over(x, design, None)
 
 
 @functools.lru_cache(maxsize=8)
@@ -137,24 +142,7 @@ def _monotone_flat_indices(n: int) -> np.ndarray:
 
 def monotonicity_mle(x: ExperimentData, design: Design) -> MleResult:
     """Maximum likelihood restricted to no-defier and/or no-complier vectors."""
-    check_design(x, design)
-    grid = _cached_grid(x)
-    flat, verified = _argmax_ties(grid, x, _monotone_flat_indices(x.n))
-    maximizers = _thetas_from_flat(x.n, flat)
-    return MleResult(
-        maximizers=maximizers,
-        log_likelihood=log_likelihood(maximizers[0], x, design),
-        tie_verified_exact=verified,
-    )
-
-
-def frechet_rule_support(
-    x: ExperimentData, design: Design
-) -> tuple[FrechetSet, tuple[Theta, ...], float]:
-    """Members of the estimated Fréchet set, each carrying equal weight."""
-    fs = frechet_set(estimate_marginals(x, design))
-    members = tuple(fs.members())
-    return fs, members, 1.0 / len(members)
+    return _mle_over(x, design, _monotone_flat_indices(x.n))
 
 
 class PosteriorTable:
@@ -255,14 +243,6 @@ class CredibleSummary:
     co_range: tuple[int, int]
     de_range: tuple[int, int]
     nt_range: tuple[int, int]
-
-    def range_of(self, letter: str) -> tuple[int, int]:
-        return {
-            "A": self.at_range,
-            "C": self.co_range,
-            "D": self.de_range,
-            "N": self.nt_range,
-        }[letter]
 
 
 def _boundary_members(

@@ -1,6 +1,6 @@
 """Analysis orchestration and report/CSV/SVG emission.
 
-Reports are plain dataclasses with deterministic dict/JSON forms: running the
+Reports are plain dataclasses with a deterministic JSON form: running the
 same analysis twice produces byte-identical output, including tie ordering.
 CSV numeric fields use 17-significant-digit formatting; SVG output is
 generated directly with no plotting dependency.
@@ -8,7 +8,7 @@ generated directly with no plotting dependency.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable
 
 from .core import (
@@ -128,7 +128,7 @@ def analyze(
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip
+# JSON
 
 
 def design_to_dict(design: Design) -> dict:
@@ -145,117 +145,22 @@ def design_from_dict(d: dict) -> Design:
     raise ValueError(f"unknown design type {d.get('type')!r}")
 
 
-def _theta_dict(t: Theta) -> dict:
-    return {"at": t.at, "co": t.co, "de": t.de, "nt": t.nt}
-
-
-def _theta_from(d: dict) -> Theta:
-    return Theta(d["at"], d["co"], d["de"], d["nt"])
-
-
-def _mle_dict(r: MleResult) -> dict:
-    return {
-        "maximizers": [_theta_dict(t) for t in r.maximizers],
-        "log_likelihood": r.log_likelihood,
-        "tie_verified_exact": r.tie_verified_exact,
-    }
-
-
-def _mle_from(d: dict) -> MleResult:
-    return MleResult(
-        maximizers=tuple(_theta_from(t) for t in d["maximizers"]),
-        log_likelihood=d["log_likelihood"],
-        tie_verified_exact=d["tie_verified_exact"],
-    )
-
-
-def report_to_dict(report: AnalysisReport) -> dict:
-    out = {
-        "n": report.n,
-        "design": design_to_dict(report.design),
-        "data": {
-            "i1": report.data.i1,
-            "i0": report.data.i0,
-            "c1": report.data.c1,
-            "c0": report.data.c0,
-        },
-        "average_effect": report.average_effect,
-        "marginals": {"m1": report.marginals[0], "mc": report.marginals[1]},
-        "estimated_defier_bounds": list(report.estimated_defier_bounds),
-        "absolute_defier_bounds": list(report.absolute_defier_bounds),
-        "mle": _mle_dict(report.mle),
-        "credible": {
-            "level": report.credible.level,
-            "member_count": report.credible.member_count,
-            "achieved_mass": report.credible.achieved_mass,
-            "at_range": list(report.credible.at_range),
-            "co_range": list(report.credible.co_range),
-            "de_range": list(report.credible.de_range),
-            "nt_range": list(report.credible.nt_range),
-        },
-        "monotonicity": _mle_dict(report.monotonicity)
-        if report.monotonicity is not None
-        else None,
-        "profile": [
-            {"defiers": r.defiers, "log_likelihood": r.log_likelihood, "mass": r.mass}
-            for r in report.profile
-        ]
-        if report.profile is not None
-        else None,
-        "profile_in_level": list(report.profile_in_level)
-        if report.profile_in_level is not None
-        else None,
-        "exact_counts": list(report.exact_counts)
-        if report.exact_counts is not None
-        else None,
-    }
-    return out
-
-
-def report_from_dict(d: dict) -> AnalysisReport:
-    cred = d["credible"]
-    return AnalysisReport(
-        n=d["n"],
-        design=design_from_dict(d["design"]),
-        data=ExperimentData(**d["data"]),
-        average_effect=d["average_effect"],
-        marginals=(d["marginals"]["m1"], d["marginals"]["mc"]),
-        estimated_defier_bounds=tuple(d["estimated_defier_bounds"]),
-        absolute_defier_bounds=tuple(d["absolute_defier_bounds"]),
-        mle=_mle_from(d["mle"]),
-        credible=CredibleSummary(
-            level=cred["level"],
-            member_count=cred["member_count"],
-            achieved_mass=cred["achieved_mass"],
-            at_range=tuple(cred["at_range"]),
-            co_range=tuple(cred["co_range"]),
-            de_range=tuple(cred["de_range"]),
-            nt_range=tuple(cred["nt_range"]),
-        ),
-        monotonicity=_mle_from(d["monotonicity"])
-        if d["monotonicity"] is not None
-        else None,
-        profile=tuple(
-            ProfileRow(r["defiers"], r["log_likelihood"], r["mass"])
-            for r in d["profile"]
-        )
-        if d["profile"] is not None
-        else None,
-        profile_in_level=tuple(d["profile_in_level"])
-        if d["profile_in_level"] is not None
-        else None,
-        exact_counts=tuple(d["exact_counts"])
-        if d["exact_counts"] is not None
-        else None,
-    )
+def _plain(value):
+    """JSON-ready form: dataclasses and named tuples by field, tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if hasattr(value, "_asdict"):
+        return {k: _plain(v) for k, v in value._asdict().items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
-
-
-def report_from_json(text: str) -> AnalysisReport:
-    return report_from_dict(json.loads(text))
+    doc = _plain(report)
+    doc["design"] = design_to_dict(report.design)
+    doc["marginals"] = {"m1": report.marginals[0], "mc": report.marginals[1]}
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

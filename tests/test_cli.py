@@ -3,6 +3,7 @@ import json
 import pytest
 
 from defiers.cli import main
+from defiers.evaluation import BAYES_MAX_N_CR
 
 
 def run(capsys, *argv):
@@ -149,8 +150,9 @@ def test_compare_rules_cmd(tmp_path, capsys):
 
 
 def test_compare_rules_budget(tmp_path, capsys):
-    code, _, _ = run(capsys, "compare-rules", "--max-n", "62", "--quiet")
+    code, _, err = run(capsys, "compare-rules", "--max-n", "62", "--quiet")
     assert code == 3
+    assert f"guard of {BAYES_MAX_N_CR}" in err
 
 
 def test_oracle_cmd(capsys):

@@ -8,8 +8,6 @@ from defiers.combinatorics import (
     choose_table,
     exact_binomial,
     log_binomial,
-    log_factorial_table,
-    log_sum_exp,
 )
 
 
@@ -61,40 +59,6 @@ def test_log_binomial_symmetry_and_accuracy():
         assert lb == log_binomial(n, n - k)
         exact = exact_binomial(n, k)
         assert math.exp(lb) == pytest.approx(exact, rel=1e-12)
-
-
-def test_log_factorial_table():
-    table = log_factorial_table(300)
-    assert table[0] == 0.0
-    assert table[1] == 0.0
-    diffs = np.diff(table)
-    logs = np.log(np.arange(1, 301))
-    assert np.allclose(diffs, logs, rtol=0, atol=1e-10)
-    # table grows and keeps earlier entries
-    longer = log_factorial_table(400)
-    assert np.array_equal(longer[:301], table)
-
-
-def test_log_sum_exp():
-    assert log_sum_exp([math.log(8)]) == pytest.approx(math.log(8), rel=1e-15)
-    assert log_sum_exp([math.log(2), math.log(4)]) == pytest.approx(
-        math.log(6), rel=1e-14
-    )
-    assert log_sum_exp([LOG_ZERO, math.log(3)]) == pytest.approx(
-        math.log(3), rel=1e-14
-    )
-    assert log_sum_exp([]) == LOG_ZERO
-    assert log_sum_exp([LOG_ZERO, LOG_ZERO]) == LOG_ZERO
-    # permutation invariance and monotonicity
-    rng = np.random.default_rng(3)
-    vals = list(rng.normal(size=9) * 50)
-    base = log_sum_exp(vals)
-    assert log_sum_exp(list(reversed(vals))) == pytest.approx(base, rel=1e-14)
-    bumped = vals.copy()
-    bumped[int(np.argmax(vals))] += 0.5
-    assert log_sum_exp(bumped) > base
-    # huge magnitudes stay finite
-    assert log_sum_exp([800.0, 800.0]) == pytest.approx(800.0 + math.log(2))
 
 
 def test_choose_table_matches_exact():

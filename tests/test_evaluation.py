@@ -1,6 +1,7 @@
 import math
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,8 +13,13 @@ from defiers.core import (
     ExperimentData,
     Theta,
     enumerate_thetas,
+    theta_index,
 )
-from defiers.likelihood import oracle_assignment_count, oracle_data_distribution
+from defiers.likelihood import (
+    assignment_count_grid,
+    oracle_assignment_count,
+    oracle_data_distribution,
+)
 from defiers.frechet import estimate_marginals, frechet_set
 from defiers.evaluation import (
     FRECHET_RULE,
@@ -29,6 +35,7 @@ from defiers.evaluation import (
     heatmap_symmetry_counterexamples,
     monty_hall_likelihoods,
     rule_comparison_curve,
+    rule_eu_vectors,
 )
 
 
@@ -259,12 +266,98 @@ def test_monty_hall():
 def test_decision_rule_decide_surface():
     x = ExperimentData(2, 1, 1, 2)
     design = CompletelyRandomized(3, 6)
-    guesses = MAX_LIKELIHOOD_RULE.decide(x, design)
-    assert guesses == [(Theta(0, 4, 2, 0), 1.0)]
-    guesses = FRECHET_RULE.decide(x, design)
-    assert sum(w for _, w in guesses) == pytest.approx(1.0)
-    assert {t for t, _ in guesses} == {
+    grid = assignment_count_grid(x)
+    index = theta_index(6)
+    flat, weight = MAX_LIKELIHOOD_RULE(grid, x, design)
+    assert [index.theta(int(f)) for f in flat] == [Theta(0, 4, 2, 0)]
+    assert weight == 1.0
+    flat, weight = FRECHET_RULE(grid, x, design)
+    assert weight == pytest.approx(1 / 3)
+    assert [index.theta(int(f)) for f in flat] == [
         Theta(2, 2, 0, 2),
         Theta(1, 3, 1, 1),
         Theta(0, 4, 2, 0),
-    }
+    ]
+    guesses = [(Theta(1, 3, 1, 1), 0.25), (Theta(0, 4, 2, 0), 0.75)]
+    flat, weight = custom_rule(lambda x, design: guesses)(grid, x, design)
+    assert [index.theta(int(f)) for f in flat] == [t for t, _ in guesses]
+    assert list(weight) == [0.25, 0.75]
+    # full takeup in both arms: the set holds only the all-always-taker vector
+    x = ExperimentData(3, 0, 5, 0)
+    flat, weight = FRECHET_RULE(assignment_count_grid(x), x, CompletelyRandomized(3, 8))
+    assert [theta_index(8).theta(int(f)) for f in flat] == [Theta(8, 0, 0, 0)]
+    assert weight == 1.0
+
+
+def test_frechet_rule_guesses_nothing_with_an_empty_arm():
+    x = ExperimentData(0, 0, 3, 1)
+    flat, _ = FRECHET_RULE(assignment_count_grid(x), x, CompletelyRandomized(0, 4))
+    assert flat.size == 0
+    for m in (0, 4):
+        assert bayes_expected_utility(FRECHET_RULE, 4, CompletelyRandomized(m, 4)) == 0.0
+
+
+def bernoulli_data_distribution(theta, p):
+    """Independent oracle: P(x | theta) from all 2**n assignments of the subjects."""
+    types = "A" * theta.at + "C" * theta.co + "D" * theta.de + "N" * theta.nt
+    p = Fraction(p)
+    dist = {}
+    for treated in product((True, False), repeat=theta.n):
+        # takers: always takers and compliers if treated, always takers and defiers if not
+        cells = Counter(
+            ("i" if t else "c") + ("1" if kind in ("AC" if t else "AD") else "0")
+            for t, kind in zip(treated, types)
+        )
+        x = ExperimentData(cells["i1"], cells["i0"], cells["c1"], cells["c0"])
+        m = sum(treated)
+        dist[x] = dist.get(x, 0) + p**m * (1 - p) ** (theta.n - m)
+    return dist
+
+
+def bernoulli_oracle_rules(n, p):
+    """Maximum likelihood, uniform-in-set and monotonicity rules by enumeration."""
+    thetas = list(enumerate_thetas(n))
+    monotone = [t for t in thetas if t.de == 0 or t.co == 0]
+
+    def argmax(x, candidates):
+        counts = [oracle_assignment_count(t, x, x.intervention_size) for t in candidates]
+        ties = [t for t, c in zip(candidates, counts) if c == max(counts)]
+        return [(t, Fraction(1, len(ties))) for t in ties]
+
+    def frechet(x):
+        if x.intervention_size == 0 or x.control_size == 0:
+            return []
+        half = Fraction(1, 2)
+        m1 = min(int(x.i1 / Fraction(p) + half), n)
+        mc = min(int(x.c1 / (1 - Fraction(p)) + half), n)
+        members = [t for t in thetas if (t.at + t.co, t.at + t.de) == (m1, mc)]
+        return [(t, Fraction(1, len(members))) for t in members]
+
+    return [lambda x: argmax(x, thetas), frechet, lambda x: argmax(x, monotone)]
+
+
+def bernoulli_bayes_eu(decide, n, p):
+    thetas = list(enumerate_thetas(n))
+    total = Fraction(0)
+    for theta in thetas:
+        for x, prob in bernoulli_data_distribution(theta, p).items():
+            total += prob * sum(w for t, w in decide(x) if t == theta)
+    return float(total / len(thetas))
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3])
+def test_bernoulli_bayes_eu_matches_brute_force(p):
+    for n in range(1, 5):
+        got = bayes_expected_utilities(
+            [MAX_LIKELIHOOD_RULE, FRECHET_RULE, MONOTONICITY_RULE], n, Bernoulli(p)
+        )
+        want = [bernoulli_bayes_eu(decide, n, p) for decide in bernoulli_oracle_rules(n, p)]
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("design", [Bernoulli(0.3), CompletelyRandomized(2, 5)])
+def test_data_probabilities_sum_to_one(design):
+    # a rule guessing every theta with weight one scores sum_x P(x | theta)
+    everything = custom_rule(lambda x, design: [(t, 1.0) for t in enumerate_thetas(x.n)])
+    vec = rule_eu_vectors([everything], 5, design)[0]
+    assert np.allclose(vec, 1.0, rtol=0, atol=1e-12)

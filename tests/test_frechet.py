@@ -54,9 +54,6 @@ def test_estimate_marginals_bernoulli_denominators():
     est = estimate_marginals(x, Bernoulli(0.5))
     # expected arm sizes: 3/0.5 = 6 and 2/0.5 = 4
     assert (est.m1, est.mc) == (6, 4)
-    realized = estimate_marginals(x, Bernoulli(0.5), expected_arm_sizes=False)
-    # realized arms have 6 and 6 subjects: 12*3/6 = 6, 12*2/6 = 4
-    assert (realized.m1, realized.mc) == (6, 4)
     skewed = estimate_marginals(x, Bernoulli(0.25))
     assert (skewed.m1, skewed.mc) == (12, 3)  # 3/0.25 = 12, 2/0.75 = 2.67 -> 3
 

@@ -12,7 +12,6 @@ from defiers.core import (
 )
 from defiers.likelihood import oracle_assignment_count
 from defiers.inference import (
-    frechet_rule_support,
     mle,
     monotonicity_mle,
     posterior,
@@ -88,13 +87,6 @@ def test_monotonicity_all_defier_corner():
     assert result.maximizers == (Theta(0, 0, n, 0),)
 
 
-def test_frechet_rule_support_six_person():
-    fs, members, weight = frechet_rule_support(SIX, CR6)
-    assert members == (Theta(2, 2, 0, 2), Theta(1, 3, 1, 1), Theta(0, 4, 2, 0))
-    assert weight == pytest.approx(1 / 3)
-    assert (fs.defier_lo, fs.defier_hi) == (0, 2)
-
-
 def test_posterior_six_person():
     post = posterior(SIX, CR6)
     top_theta, top_mass = post.top()
@@ -162,14 +154,6 @@ def test_organ_donation_inference():
     assert monotonicity_mle(x, cr).maximizers == (Theta(49, 45, 0, 21),)
     summary = smallest_credible_set(posterior(x, cr), 0.95)
     assert summary.de_range == (0, 34)
-
-
-def test_frechet_rule_support_full_takeup():
-    n, m = 8, 3
-    x = ExperimentData(m, 0, n - m, 0)
-    fs, members, weight = frechet_rule_support(x, CompletelyRandomized(m, n))
-    assert members == (Theta(n, 0, 0, 0),)
-    assert weight == 1.0
 
 
 def test_posterior_degenerate_single_theta():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from defiers.core import Bernoulli, CompletelyRandomized, ExperimentData, Theta
@@ -19,7 +21,6 @@ from defiers.reports import (
     profile_csv,
     profile_svg,
     render_text,
-    report_from_json,
     report_to_json,
     rule_comparison_csv,
     rule_comparison_svg,
@@ -27,6 +28,8 @@ from defiers.reports import (
 
 SIX = ExperimentData(2, 1, 1, 2)
 CR6 = CompletelyRandomized(3, 6)
+ORGAN = ExperimentData(50, 11, 23, 31)
+ORGAN_CR = CompletelyRandomized(61, 115)
 
 
 @pytest.fixture(scope="module")
@@ -45,12 +48,22 @@ def test_analyze_six_person(six_report):
     assert rep.exact_counts == ("12",)
 
 
-def test_report_json_roundtrip(six_report):
-    text = report_to_json(six_report)
-    parsed = report_from_json(text)
-    assert parsed == six_report
-    # emitting again is byte-identical
-    assert report_to_json(parsed) == text
+# Expected report.json bytes for each case live in golden/<name>.json.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = {
+    "six_person_exact": AnalysisRequest(design=CR6, data=SIX, exact_arithmetic=True),
+    "organ_donation": AnalysisRequest(design=ORGAN_CR, data=ORGAN),
+    "organ_donation_no_profile_no_monotonicity": AnalysisRequest(
+        design=ORGAN_CR, data=ORGAN, with_frechet_profile=False, with_monotonicity=False
+    ),
+    "bernoulli_half": AnalysisRequest(design=Bernoulli(0.5), data=ExperimentData(3, 3, 2, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CASES))
+def test_report_json_golden_bytes(name):
+    expected = (GOLDEN / f"{name}.json").read_bytes().decode()
+    assert report_to_json(analyze(GOLDEN_CASES[name])) == expected
 
 
 def test_analyze_deterministic():
