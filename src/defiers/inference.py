@@ -3,13 +3,18 @@
 The scan works on the float64 likelihood grid; any maximizer or boundary
 candidates that the float values cannot separate are re-checked with exact
 integer assignment counts before ties are reported.
+
+``posterior(x, design, level)`` returns a ``PosteriorTable`` that holds only
+the top of the sorted posterior: every entry with mass at or above the mass
+where the cumulative sum crosses ``level``, in descending likelihood and then
+canonical order.  ``smallest_credible_set(post, level)`` reads it at that
+level or any lower one.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -19,7 +24,6 @@ from .core import (
     Theta,
     ThetaIndex,
     check_design,
-    theta_count,
     theta_index,
 )
 from .combinatorics import log_tie_cutoff
@@ -29,8 +33,9 @@ from .likelihood import (
     log_likelihood,
 )
 
-# Full posterior tables (zero-mass entries included) are materialized up to
-# this sample size; larger grids keep positive-mass entries only.
+# The posterior normaliser sums the whole grid, zeros included, up to this
+# sample size and the positive entries above it.  The two pairwise-sum orders
+# can differ in the last bit; keeping both keeps reported masses bit-identical.
 FULL_TABLE_MAX_N = 300
 
 # Exact tie confirmation is attempted on at most this many candidates; beyond
@@ -52,11 +57,6 @@ class MleResult:
     maximizers: tuple[Theta, ...]
     log_likelihood: float
     tie_verified_exact: bool
-
-    @property
-    def weight(self) -> float:
-        """Selection weight the decision rule puts on each maximizer."""
-        return 1.0 / len(self.maximizers)
 
     @property
     def estimate(self) -> Theta:
@@ -145,32 +145,22 @@ def monotonicity_mle(x: ExperimentData, design: Design) -> MleResult:
     return _mle_over(x, design, _monotone_flat_indices(x.n))
 
 
+@dataclass(frozen=True, eq=False)
 class PosteriorTable:
-    """Posterior over the parameter grid under a uniform prior, sorted.
+    """Top block of the posterior under a uniform prior, sorted.
 
-    Entries are stored as flat component arrays ordered by descending mass and
-    then canonical order, so the table stays usable at millions of entries.
-    Above ``FULL_TABLE_MAX_N`` only positive-mass entries are materialized;
-    the untouched tail has exactly zero mass either way.
+    Holds every entry whose mass is at or above the mass at which the
+    cumulative sum crosses ``level`` (every positive entry when it never
+    does), as flat component arrays ordered by descending likelihood and then
+    canonical order: a prefix of the full sorted posterior.
     """
 
-    def __init__(
-        self,
-        x: ExperimentData,
-        design: Design,
-        at: np.ndarray,
-        co: np.ndarray,
-        de: np.ndarray,
-        mass: np.ndarray,
-        tail_count: int,
-    ):
-        self.x = x
-        self.design = design
-        self.at = at
-        self.co = co
-        self.de = de
-        self.mass = mass
-        self.tail_count = tail_count
+    x: ExperimentData
+    level: float
+    at: np.ndarray
+    co: np.ndarray
+    de: np.ndarray
+    mass: np.ndarray
 
     @property
     def n(self) -> int:
@@ -180,51 +170,44 @@ class PosteriorTable:
     def entry_count(self) -> int:
         return int(self.mass.size)
 
-    @property
-    def total_count(self) -> int:
-        """Size of the full parameter grid, materialized or not."""
-        return self.entry_count + self.tail_count
 
-    def theta_at(self, i: int) -> Theta:
-        at, co, de = int(self.at[i]), int(self.co[i]), int(self.de[i])
-        return Theta(at, co, de, self.n - at - co - de)
+def posterior(x: ExperimentData, design: Design, level: float) -> PosteriorTable:
+    """Posterior masses proportional to the likelihood, down to the level's boundary.
 
-    def entries(self, limit: int | None = None) -> Iterator[tuple[Theta, float]]:
-        stop = self.entry_count if limit is None else min(limit, self.entry_count)
-        for i in range(stop):
-            yield self.theta_at(i), float(self.mass[i])
-
-    def top(self) -> tuple[Theta, float]:
-        return self.theta_at(0), float(self.mass[0])
-
-
-def posterior(x: ExperimentData, design: Design) -> PosteriorTable:
-    """Posterior masses proportional to the likelihood under a uniform prior."""
+    The top entries are found by partition, growing the block fourfold until
+    its mass reaches the level; only the block is sorted and decoded.
+    """
     check_design(x, design)
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0,1), got {level}")
     grid = _cached_grid(x)
-    index = theta_index(x.n)
-    if theta_count(x.n) <= theta_count(FULL_TABLE_MAX_N):
-        flat = np.arange(grid.size, dtype=np.int64)
-        values = grid
-        tail = 0
-    else:
-        flat = np.nonzero(grid)[0]
-        values = grid[flat]
-        tail = grid.size - flat.size
-    total = values.sum()
+    values = grid[grid > 0]
+    total = grid.sum() if x.n <= FULL_TABLE_MAX_N else values.sum()
     assert total > 0.0, "saturated theta always has positive likelihood"
-    order = np.lexsort((flat, -values))
+    # No fewer than level / (top mass) entries can reach the level.
+    size = math.ceil(level / (values.max() / total))
+    while True:
+        size = min(size, values.size)
+        kept = np.argpartition(values, values.size - size)[values.size - size:]
+        top = np.sort(values[kept])[::-1] / total
+        cum = np.cumsum(top)
+        if cum[-1] >= level or size == values.size:
+            break
+        size *= 4
+    v = top[min(int(np.searchsorted(cum, level, side="left")), size - 1)]
+    # Gather every entry of mass v or more from the whole grid, so that a
+    # float-tie run the partition cut stays whole.
+    flat = np.flatnonzero(grid >= values[values / total >= v].min())
+    order = np.lexsort((flat, -grid[flat]))
     flat = flat[order]
-    mass = values[order] / total
-    at, co, de, _ = index.components(flat)
+    at, co, de, _ = theta_index(x.n).components(flat)
     return PosteriorTable(
         x,
-        design,
+        level,
         at.astype(np.uint32),
         co.astype(np.uint32),
         de.astype(np.uint32),
-        mass,
-        tail,
+        grid[flat] / total,
     )
 
 
@@ -286,8 +269,8 @@ def smallest_credible_set(post: PosteriorTable, level: float) -> CredibleSummary
     Entries are accumulated from the highest mass down; where several entries
     share one mass, the whole tie block enters together.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0,1), got {level}")
+    if not 0.0 < level <= post.level:
+        raise ValueError(f"level must be in (0,{post.level}], the table's level; got {level}")
     mass = post.mass
     cum = np.cumsum(mass)
     k = int(np.searchsorted(cum, level, side="left"))

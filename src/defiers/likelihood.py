@@ -42,7 +42,10 @@ from .combinatorics import LOG_ZERO, choose_table, log_binomial
 ORACLE_MAX_N = 20
 
 # The full-grid scan materializes C(n+3, 3) float64 values (~310 MB at n=612,
-# ~1.3 GB at the cap below).
+# ~1.3 GB at the cap below).  The cap also keeps sums in float64 range: each
+# entry is at most C(n, n//2), so the grid sum is at most
+# theta_count(n) * C(n, n//2), 10^307.66 at n=1000; the bound first exceeds
+# the float64 maximum (10^308.25) at n=1002.
 GRID_MAX_N = 1000
 
 SHARE_SUM_TOL = 1e-12

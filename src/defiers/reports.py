@@ -95,7 +95,7 @@ def analyze(
     mle_result = mle(x, design)
     mono = monotonicity_mle(x, design) if request.with_monotonicity else None
     note("posterior and smallest credible set")
-    post = posterior(x, design)
+    post = posterior(x, design, request.credible_level)
     credible = smallest_credible_set(post, request.credible_level)
     rows = None
     flags = None
@@ -214,6 +214,8 @@ def render_text(report: AnalysisReport) -> str:
     for t in report.mle.maximizers:
         lines.append(f"  {_theta_line(t, n)}")
     lines.append(f"  log likelihood: {report.mle.log_likelihood:.6f}")
+    if not report.mle.tie_verified_exact:
+        lines.append("  maximizer tie not confirmed exactly")
     if report.exact_counts is not None:
         for t, c in zip(report.mle.maximizers, report.exact_counts):
             lines.append(f"  exact assignment count of {t.counts()}: {c}")
@@ -222,6 +224,8 @@ def render_text(report: AnalysisReport) -> str:
         lines.append("maximum likelihood under monotonicity (no defiers or no compliers):")
         for t in report.monotonicity.maximizers:
             lines.append(f"  {_theta_line(t, n)}")
+        if not report.monotonicity.tie_verified_exact:
+            lines.append("  maximizer tie not confirmed exactly")
         same = set(report.monotonicity.maximizers) == set(report.mle.maximizers)
         lines.append(
             "  matches the unrestricted estimate"

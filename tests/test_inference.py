@@ -2,21 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from defiers import inference
 from defiers.core import (
     CompletelyRandomized,
     ExperimentData,
     Theta,
     enumerate_thetas,
     theta_count,
+    theta_index,
 )
-from defiers.likelihood import oracle_assignment_count
+from defiers.likelihood import assignment_count_grid, oracle_assignment_count
 from defiers.inference import (
+    FULL_TABLE_MAX_N,
+    PosteriorTable,
     mle,
     monotonicity_mle,
     posterior,
     smallest_credible_set,
 )
+from defiers.reports import AnalysisRequest, analyze, render_text, report_to_json
 
 SIX = ExperimentData(2, 1, 1, 2)
 CR6 = CompletelyRandomized(3, 6)
@@ -27,7 +33,6 @@ def test_mle_six_person():
     assert result.maximizers == (Theta(0, 4, 2, 0),)
     assert result.log_likelihood == pytest.approx(math.log(12 / 20), rel=1e-12)
     assert result.tie_verified_exact
-    assert result.weight == 1.0
     assert result.estimate == Theta(0, 4, 2, 0)
 
 
@@ -87,34 +92,49 @@ def test_monotonicity_all_defier_corner():
     assert result.maximizers == (Theta(0, 0, n, 0),)
 
 
+def _theta(post, i):
+    at, co, de = int(post.at[i]), int(post.co[i]), int(post.de[i])
+    return Theta(at, co, de, post.n - at - co - de)
+
+
+def _entries(post):
+    return [(_theta(post, i), float(post.mass[i])) for i in range(post.entry_count)]
+
+
 def test_posterior_six_person():
-    post = posterior(SIX, CR6)
-    top_theta, top_mass = post.top()
-    assert top_theta == Theta(0, 4, 2, 0)
-    assert post.entry_count == theta_count(6)
-    assert float(post.mass.sum()) == pytest.approx(1.0, abs=1e-10)
+    post = posterior(SIX, CR6, 0.95)
+    assert _theta(post, 0) == Theta(0, 4, 2, 0)
+    assert 0.95 <= float(post.mass.sum()) <= 1.0
     assert np.all(np.diff(post.mass) <= 0)
     # MAP set equals MLE set under the uniform prior
     mle_set = set(mle(SIX, CR6).maximizers)
-    top_block = {t for t, m in post.entries(limit=5) if m == top_mass}
+    top_block = {t for t, m in _entries(post) if m == post.mass[0]}
     assert mle_set == top_block
+
+
+def test_posterior_holds_only_the_top_block():
+    # each level keeps the entries down to its boundary mass, so a higher
+    # level's table extends a lower one's
+    low = posterior(SIX, CR6, 0.5)
+    high = posterior(SIX, CR6, 0.99)
+    assert 0 < low.entry_count < high.entry_count < theta_count(6)
+    assert np.array_equal(high.mass[: low.entry_count], low.mass)
+    assert np.array_equal(high.de[: low.entry_count], low.de)
+    assert low.mass[-1] > high.mass[low.entry_count]
 
 
 def test_posterior_single_subject():
     x = ExperimentData(1, 0, 0, 0)
-    post = posterior(x, CompletelyRandomized(1, 1))
-    masses = dict(post.entries())
-    assert masses[Theta(1, 0, 0, 0)] == pytest.approx(0.5)
-    assert masses[Theta(0, 1, 0, 0)] == pytest.approx(0.5)
-    assert masses[Theta(0, 0, 1, 0)] == 0.0
-    assert masses[Theta(0, 0, 0, 1)] == 0.0
+    post = posterior(x, CompletelyRandomized(1, 1), 0.99)
+    # the zero-mass vectors (0,0,1,0) and (0,0,0,1) are never held
+    assert _entries(post) == [(Theta(1, 0, 0, 0), 0.5), (Theta(0, 1, 0, 0), 0.5)]
 
 
 def test_credible_set_degenerate():
     n, m = 6, 2
     x = ExperimentData(0, m, n - m, 0)
-    post = posterior(x, CompletelyRandomized(m, n))
-    assert post.top()[0] == Theta(0, 0, n, 0)
+    post = posterior(x, CompletelyRandomized(m, n), 0.5)
+    assert _theta(post, 0) == Theta(0, 0, n, 0)
     summary = smallest_credible_set(post, 0.5)
     # the all-defier vector produces this data under every assignment and is
     # the unique positive-mass entry... unless other vectors also can; check
@@ -123,7 +143,8 @@ def test_credible_set_degenerate():
 
 
 def test_credible_set_minimality_and_tie_blocks():
-    post = posterior(SIX, CR6)
+    # a table built for one level serves every lower level
+    post = posterior(SIX, CR6, 0.95)
     for level in (0.5, 0.8, 0.95):
         summary = smallest_credible_set(post, level)
         assert summary.achieved_mass >= level - 1e-12
@@ -134,17 +155,29 @@ def test_credible_set_minimality_and_tie_blocks():
         block = int(np.sum(masses == boundary))
         assert float(np.sum(masses[: k - block])) < level
         # per-type ranges cover the top entry
-        top = post.top()[0]
+        top = _theta(post, 0)
         assert summary.at_range[0] <= top.at <= summary.at_range[1]
         assert summary.de_range[0] <= top.de <= summary.de_range[1]
 
 
 def test_credible_set_level_validation():
-    post = posterior(SIX, CR6)
-    with pytest.raises(ValueError):
-        smallest_credible_set(post, 0.0)
-    with pytest.raises(ValueError):
-        smallest_credible_set(post, 1.0)
+    post = posterior(SIX, CR6, 0.95)
+    for level in (0.0, 0.96, 1.0):
+        with pytest.raises(ValueError):
+            smallest_credible_set(post, level)
+    for level in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            posterior(SIX, CR6, level)
+
+
+def test_level_above_the_positive_mass_admits_no_zero_mass_vector():
+    # the positive masses sum to 0.9999999999999656 in float, below the level,
+    # so the set takes every positive entry and none of the 189,050 zero-mass ones
+    x = ExperimentData(50, 11, 23, 31)
+    level = 0.9999999999999999
+    summary = smallest_credible_set(posterior(x, CompletelyRandomized(61, 115), level), level)
+    assert summary.member_count == np.count_nonzero(assignment_count_grid(x)) == 77_866
+    assert summary.achieved_mass < level
 
 
 def test_organ_donation_inference():
@@ -152,15 +185,14 @@ def test_organ_donation_inference():
     cr = CompletelyRandomized(61, 115)
     assert mle(x, cr).maximizers == (Theta(28, 66, 21, 0),)
     assert monotonicity_mle(x, cr).maximizers == (Theta(49, 45, 0, 21),)
-    summary = smallest_credible_set(posterior(x, cr), 0.95)
+    summary = smallest_credible_set(posterior(x, cr, 0.95), 0.95)
     assert summary.de_range == (0, 34)
 
 
 def test_posterior_degenerate_single_theta():
     x = ExperimentData(0, 0, 0, 0)
-    post = posterior(x, CompletelyRandomized(0, 0))
-    assert post.entry_count == 1
-    assert post.top() == (Theta(0, 0, 0, 0), 1.0)
+    post = posterior(x, CompletelyRandomized(0, 0), 0.95)
+    assert _entries(post) == [(Theta(0, 0, 0, 0), 1.0)]
     for level in (0.25, 0.95):
         summary = smallest_credible_set(post, level)
         assert summary.member_count == 1
@@ -192,7 +224,122 @@ def test_map_equals_mle_on_random_data():
         c1 = int(rng.integers(0, n - m + 1))
         x = ExperimentData(i1, m - i1, c1, n - m - c1)
         design = CompletelyRandomized(m, n)
-        post = posterior(x, design)
-        top_mass = post.top()[1]
-        top_block = {t for t, mass in post.entries() if mass == top_mass}
+        post = posterior(x, design, 0.5)
+        top_block = {t for t, mass in _entries(post) if mass == post.mass[0]}
         assert set(mle(x, design).maximizers) <= top_block
+
+
+def full_sort_posterior(x, level):
+    """Reference: every positive entry, sorted and decoded (the earlier posterior).
+
+    The normaliser is summed as ``posterior`` sums it: over the whole grid up
+    to ``FULL_TABLE_MAX_N`` and over the positive entries above.
+    """
+    grid = assignment_count_grid(x)
+    flat = np.flatnonzero(grid)
+    values = grid[flat]
+    total = grid.sum() if x.n <= FULL_TABLE_MAX_N else values.sum()
+    order = np.lexsort((flat, -values))
+    at, co, de, _ = theta_index(x.n).components(flat[order])
+    return PosteriorTable(
+        x,
+        level,
+        at.astype(np.uint32),
+        co.astype(np.uint32),
+        de.astype(np.uint32),
+        values[order] / total,
+    )
+
+
+# (table, level) pairs on which the partition must grow past its first block
+# (level / top mass entries) and the block that reaches the level ends inside
+# the boundary float-tie run, so the run must be gathered whole.
+GROWN_AND_CUT = [
+    ((4, 0, 1, 7), 0.9512492382693478),
+    ((10, 4, 5, 2), 0.8055838706844878),
+    ((1, 2, 14, 23), 0.9674089823115505),
+]
+
+
+@pytest.mark.parametrize("counts,level", GROWN_AND_CUT)
+def test_cases_grow_the_block_and_cut_the_boundary_run(counts, level):
+    full = full_sort_posterior(ExperimentData(*counts), level)
+    cum = np.cumsum(full.mass)
+    size = math.ceil(level / full.mass[0])
+    assert cum[size - 1] < level
+    while cum[size - 1] < level:
+        size *= 4
+    k = int(np.searchsorted(cum, level))
+    run = np.flatnonzero(full.mass == full.mass[k])
+    assert run[0] < size <= run[-1]
+
+
+@st.composite
+def tables(draw, max_n=40):
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(0, n))
+    i1 = draw(st.integers(0, m))
+    c1 = draw(st.integers(0, n - m))
+    return (i1, m - i1, c1, n - m - c1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts=tables(), level=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(counts=GROWN_AND_CUT[0][0], level=GROWN_AND_CUT[0][1])
+@example(counts=GROWN_AND_CUT[1][0], level=GROWN_AND_CUT[1][1])
+@example(counts=GROWN_AND_CUT[2][0], level=GROWN_AND_CUT[2][1])
+@example(counts=(50, 11, 23, 31), level=0.9999999999999999)
+def test_posterior_is_a_prefix_of_the_full_sort(counts, level):
+    x = ExperimentData(*counts)
+    post = posterior(x, CompletelyRandomized(x.i1 + x.i0, x.n), level)
+    full = full_sort_posterior(x, level)
+    k = post.entry_count
+    for name in ("at", "co", "de", "mass"):
+        assert np.array_equal(getattr(post, name), getattr(full, name)[:k])
+    got = smallest_credible_set(post, level)
+    want = smallest_credible_set(full, level)
+    assert got == want
+    assert got.achieved_mass.hex() == want.achieved_mass.hex()
+
+
+def test_unconfirmed_maximizer_tie_reaches_both_reports(monkeypatch):
+    # (2,0,0,2) and (0,2,2,0) tie; with the cap below two suspects the tie is
+    # kept by bit-equal float values and flagged unverified
+    x = ExperimentData(1, 1, 1, 1)
+    request = AnalysisRequest(design=CompletelyRandomized(2, 4), data=x)
+    verified = analyze(request)
+    assert verified.mle.tie_verified_exact
+    assert "not confirmed" not in render_text(verified)
+    monkeypatch.setattr(inference, "EXACT_TIE_CAP", 1)
+    report = analyze(request)
+    assert not report.mle.tie_verified_exact
+    assert report.mle.maximizers == verified.mle.maximizers
+    assert report_to_json(report).count('"tie_verified_exact": false') == 1
+    assert render_text(report).count("  maximizer tie not confirmed exactly\n") == 1
+
+
+def test_unconfirmed_monotone_tie_is_printed(monkeypatch):
+    # four monotone maximizers tie; the unrestricted maximum (0,5,2,0) is unique
+    monkeypatch.setattr(inference, "EXACT_TIE_CAP", 1)
+    report = analyze(AnalysisRequest(design=CompletelyRandomized(3, 7), data=ExperimentData(2, 1, 1, 3)))
+    assert report.mle.tie_verified_exact
+    assert len(report.monotonicity.maximizers) == 4
+    assert not report.monotonicity.tie_verified_exact
+    assert render_text(report).count("  maximizer tie not confirmed exactly\n") == 1
+
+
+def test_credible_boundary_run_above_the_cap_is_taken_whole(monkeypatch):
+    # the boundary run of this table holds two entries; above the cap they are
+    # admitted together without exact counting
+    counts, level = GROWN_AND_CUT[0]
+    post = posterior(ExperimentData(*counts), CompletelyRandomized(4, 12), level)
+    confirmed = smallest_credible_set(post, level)
+
+    def no_exact_counts(*args):
+        raise AssertionError("exact counts are not taken above the cap")
+
+    monkeypatch.setattr(inference, "EXACT_TIE_CAP", 1)
+    monkeypatch.setattr(inference, "_exact_counts", no_exact_counts)
+    summary = smallest_credible_set(post, level)
+    assert summary == confirmed
+    assert summary.member_count == post.entry_count == 41

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,10 +13,12 @@ from defiers.core import (
     ExperimentData,
     Theta,
     enumerate_thetas,
+    theta_count,
     theta_index,
 )
 from defiers.combinatorics import LOG_ZERO
 from defiers.likelihood import (
+    GRID_MAX_N,
     PopulationShares,
     assignment_count_grid,
     exact_assignment_count,
@@ -253,3 +256,10 @@ def test_split_roundtrip_in_index_set():
 def test_grid_budget_guard():
     with pytest.raises(BudgetExceededError):
         assignment_count_grid(ExperimentData(500, 500, 500, 501))
+
+
+def test_grid_sum_fits_float64_at_the_guard():
+    # every entry counts assignments of one arm size, at most C(n, n//2), so
+    # the grid sum (the posterior's normaliser) is at most this bound
+    bound = theta_count(GRID_MAX_N) * math.comb(GRID_MAX_N, GRID_MAX_N // 2)
+    assert bound < sys.float_info.max
