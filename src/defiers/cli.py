@@ -2,15 +2,13 @@
 
 Subcommands: analyze, heatmap, compare-rules, frechet-profile, oracle, monty.
 Exit codes: 0 success, 2 input error, 3 size-guard refusal.  Progress goes to
-stderr unless --quiet; --threads (or the DEFIER_THREADS environment variable)
-bounds worker threads for the embarrassingly parallel passes.
+stderr unless --quiet.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -56,18 +54,6 @@ class _CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
-
-
-def _threads(args: argparse.Namespace) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("DEFIER_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise _CliError(f"DEFIER_THREADS is not an integer: {env!r}", EXIT_INPUT) from exc
-    return os.cpu_count()
 
 
 def _progress(args: argparse.Namespace):
@@ -145,8 +131,6 @@ def _add_data_options(p: argparse.ArgumentParser) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: all cores or DEFIER_THREADS)")
     p.add_argument("--out-dir", default=".", help="directory for output files")
 
 
@@ -201,13 +185,7 @@ def _cmd_frechet_profile(args: argparse.Namespace) -> int:
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
     try:
-        cells = heatmap(
-            args.n,
-            args.m,
-            threads=_threads(args),
-            force=args.force,
-            progress=_progress(args),
-        )
+        cells = heatmap(args.n, args.m, force=args.force, progress=_progress(args))
     except BudgetExceededError as exc:
         raise _CliError(str(exc), EXIT_BUDGET) from exc
     except ValueError as exc:
@@ -228,7 +206,7 @@ def _cmd_compare_rules(args: argparse.Namespace) -> int:
     progress = _progress(args)
     rows = []
     for n in range(2, args.max_n + 1, 2):
-        rows.extend(rule_comparison_curve([n], threads=_threads(args)))
+        rows.extend(rule_comparison_curve([n]))
         if progress is not None:
             progress(f"evaluated rules at n={n}")
     _write(args, "rule_comparison.csv", rule_comparison_csv(rows))

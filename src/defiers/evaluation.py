@@ -134,6 +134,7 @@ def _check_bayes_budget(n: int, design: Design) -> None:
         )
 
 
+# Kept, with rule_eu_vectors(threads=), while perfbench/tracer.py wraps it (ROADMAP item 4).
 def _thread_map(fn, items, threads: int | None):
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -189,18 +190,14 @@ def bayes_expected_utilities(
     rules: Sequence[DecisionRule],
     n: int,
     design: Design,
-    *,
-    threads: int | None = None,
 ) -> list[float]:
     """Bayes expected utility of several rules under the uniform prior, shared pass."""
-    vectors = rule_eu_vectors(rules, n, design, threads=threads)
+    vectors = rule_eu_vectors(rules, n, design)
     return [float(vec.mean()) for vec in vectors]
 
 
-def bayes_expected_utility(
-    rule: DecisionRule, n: int, design: Design, *, threads: int | None = None
-) -> float:
-    return bayes_expected_utilities([rule], n, design, threads=threads)[0]
+def bayes_expected_utility(rule: DecisionRule, n: int, design: Design) -> float:
+    return bayes_expected_utilities([rule], n, design)[0]
 
 
 @dataclass(frozen=True)
@@ -219,9 +216,7 @@ class RuleComparisonRow:
         return self.eu_mle / self.eu_mono
 
 
-def rule_comparison_curve(
-    n_values: Sequence[int], *, threads: int | None = None
-) -> list[RuleComparisonRow]:
+def rule_comparison_curve(n_values: Sequence[int]) -> list[RuleComparisonRow]:
     """Bayes expected utilities of the three rules at each even n, half treated."""
     rows = []
     for n in n_values:
@@ -229,10 +224,7 @@ def rule_comparison_curve(
             raise ValueError(f"rule comparison needs positive even n, got {n}")
         design = CompletelyRandomized(m=n // 2, n=n)
         eu = bayes_expected_utilities(
-            [MAX_LIKELIHOOD_RULE, FRECHET_RULE, MONOTONICITY_RULE],
-            n,
-            design,
-            threads=threads,
+            [MAX_LIKELIHOOD_RULE, FRECHET_RULE, MONOTONICITY_RULE], n, design
         )
         rows.append(RuleComparisonRow(n, eu[0], eu[1], eu[2]))
     return rows
@@ -296,7 +288,6 @@ def heatmap(
     n: int,
     m: int,
     *,
-    threads: int | None = None,
     force: bool = False,
     progress: Callable[[str], None] | None = None,
 ) -> list[list[HeatmapCell]]:
@@ -313,13 +304,12 @@ def heatmap(
             "pass force=True (CLI: --force) to run it anyway"
         )
 
-    def row(i1: int) -> list[HeatmapCell]:
-        cells = [_heatmap_cell(n, m, i1, c1) for c1 in range(n - m + 1)]
+    cells = []
+    for i1 in range(m + 1):
+        cells.append([_heatmap_cell(n, m, i1, c1) for c1 in range(n - m + 1)])
         if progress is not None:
             progress(f"heatmap row i1={i1} of {m}")
-        return cells
-
-    return _thread_map(row, range(m + 1), threads)
+    return cells
 
 
 def heatmap_symmetry_counterexamples(
@@ -344,9 +334,7 @@ class RegionCheckResult:
     counterexamples: tuple[tuple[int, int], ...]
 
 
-def defier_region_check(
-    n: int, *, threads: int | None = None, force: bool = False
-) -> RegionCheckResult:
+def defier_region_check(n: int, *, force: bool = False) -> RegionCheckResult:
     """Verify where the MLE includes defiers on the half-treated heatmap.
 
     Claim checked cell by cell: with takeup strictly below half in control and
@@ -356,7 +344,7 @@ def defier_region_check(
     if n % 2 != 0 or n <= 0:
         raise ValueError(f"region check needs positive even n, got {n}")
     m = n // 2
-    cells = heatmap(n, m, threads=threads, force=force)
+    cells = heatmap(n, m, force=force)
     bad = []
     for i1 in range(m + 1):
         for c1 in range(n - m + 1):

@@ -45,10 +45,6 @@ class FrechetSet:
     defier_lo: int
     defier_hi: int
 
-    @property
-    def size(self) -> int:
-        return self.defier_hi - self.defier_lo + 1
-
     def defier_range(self) -> range:
         return range(self.defier_lo, self.defier_hi + 1)
 

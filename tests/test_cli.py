@@ -122,6 +122,20 @@ def test_frechet_profile_cmd(tmp_path, capsys):
     assert (tmp_path / "frechet_profile.svg").exists()
 
 
+def test_frechet_profile_bernoulli_flags(tmp_path, capsys):
+    # marginals (3, 0) leave one member, (0,3,0,0), which cannot give a
+    # non-taker in intervention: the profile is flat at zero mass
+    code, _, _ = run(
+        capsys,
+        "frechet-profile",
+        "--i1", "1", "--i0", "1", "--c1", "0", "--c0", "1", "--p", "0.1",
+        "--quiet", "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    lines = (tmp_path / "frechet_profile.csv").read_text().splitlines()
+    assert lines[1:] == ["0,-inf,0,true"]
+
+
 def test_heatmap_cmd(tmp_path, capsys):
     code, _, _ = run(
         capsys, "heatmap", "--n", "6", "--m", "3", "--quiet", "--out-dir", str(tmp_path)
@@ -137,6 +151,31 @@ def test_heatmap_budget_exit(tmp_path, capsys):
         capsys, "heatmap", "--n", "100", "--m", "50", "--quiet", "--out-dir", str(tmp_path)
     )
     assert code == 3
+
+
+def test_analyze_grid_guard_exit(tmp_path, capsys):
+    code, _, err = run(
+        capsys,
+        "analyze",
+        "--i1", "501", "--i0", "0", "--c1", "0", "--c0", "501", "--m", "501",
+        "--quiet", "--out-dir", str(tmp_path),
+    )
+    assert code == 3
+    assert "exceeds the guard of 1000" in err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["heatmap", "--n", "4", "--m", "2"], "heatmap row i1=2 of 2"),
+        (["compare-rules", "--max-n", "4"], "evaluated rules at n=4"),
+    ],
+)
+def test_progress_goes_to_stderr(tmp_path, capsys, argv, line):
+    code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 0
+    assert line in err.splitlines()
+    assert out == ""
 
 
 def test_compare_rules_cmd(tmp_path, capsys):
@@ -187,16 +226,3 @@ def test_monty_cmd(capsys):
     fields = dict(part.split(": ") for part in line.split(", "))
     assert fields["decision"] == "switch"
     assert Fraction(fields["car-present"]) > Fraction(fields["car-absent"])
-
-
-def test_threads_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DEFIER_THREADS", "2")
-    code, _, _ = run(
-        capsys, "heatmap", "--n", "4", "--m", "2", "--quiet", "--out-dir", str(tmp_path)
-    )
-    assert code == 0
-    monkeypatch.setenv("DEFIER_THREADS", "zzz")
-    code, _, err = run(
-        capsys, "heatmap", "--n", "4", "--m", "2", "--quiet", "--out-dir", str(tmp_path)
-    )
-    assert code == 2

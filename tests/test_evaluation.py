@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -20,6 +21,7 @@ from defiers.likelihood import (
     oracle_assignment_count,
     oracle_data_distribution,
 )
+from defiers import evaluation
 from defiers.frechet import estimate_marginals, frechet_set
 from defiers.evaluation import (
     FRECHET_RULE,
@@ -223,6 +225,9 @@ def test_heatmap_six():
     assert cells[0][3].type_signature == "D"
     assert cells[0][0].type_signature == "N"
     assert heatmap_symmetry_counterexamples(cells) == []
+    # a maximizer with no mirror image breaks the cell and its mirror cell
+    cells[2][1] = dataclasses.replace(cells[2][1], mle_set=(Theta(1, 3, 1, 1),))
+    assert heatmap_symmetry_counterexamples(cells) == [(1, 2), (2, 1)]
 
 
 def test_heatmap_two_subject_corners():
@@ -239,10 +244,14 @@ def test_heatmap_budget_guard():
         heatmap(100, 50)
 
 
-def test_heatmap_threads_deterministic():
-    seq = heatmap(8, 4)
-    par = heatmap(8, 4, threads=4)
-    assert seq == par
+@pytest.mark.parametrize(
+    "n, design", [(8, CompletelyRandomized(4, 8)), (4, Bernoulli(0.3))]
+)
+def test_rule_eu_vectors_pool_matches_serial(n, design):
+    rules = [MAX_LIKELIHOOD_RULE, FRECHET_RULE, MONOTONICITY_RULE]
+    serial = rule_eu_vectors(rules, n, design)
+    pooled = rule_eu_vectors(rules, n, design, threads=2)
+    assert [v.tobytes() for v in pooled] == [v.tobytes() for v in serial]
 
 
 def test_defier_region_small():
@@ -251,6 +260,20 @@ def test_defier_region_small():
         assert result.passed, result.counterexamples
     with pytest.raises(ValueError):
         defier_region_check(5)
+
+
+def test_defier_region_reports_a_cell_without_defiers(monkeypatch):
+    real_heatmap = evaluation.heatmap
+
+    def no_defiers_at_2_1(n, m, **kwargs):
+        cells = real_heatmap(n, m, **kwargs)
+        cells[2][1] = dataclasses.replace(cells[2][1], defier_count=0)
+        return cells
+
+    monkeypatch.setattr(evaluation, "heatmap", no_defiers_at_2_1)
+    result = defier_region_check(6)
+    assert not result.passed
+    assert result.counterexamples == ((2, 1),)
 
 
 def test_monty_hall():

@@ -202,6 +202,9 @@ def test_sampling_likelihood_examples():
     x = ExperimentData(1, 0, 0, 1)
     val = sampling_log_likelihood(q, x, CompletelyRandomized(1, 2))
     assert val == pytest.approx(math.log(0.25), rel=1e-14)
+    # takeup observed where the shares give it probability zero
+    q = PopulationShares(0.0, 0.0, 0.5, 0.5)
+    assert sampling_log_likelihood(q, SIX, CR6) == LOG_ZERO
 
 
 def test_sampling_flatness_vs_design_variation():
