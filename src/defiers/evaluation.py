@@ -10,7 +10,6 @@ rounding.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -134,11 +133,8 @@ def _check_bayes_budget(n: int, design: Design) -> None:
         )
 
 
-# Kept, with rule_eu_vectors(threads=), while perfbench/tracer.py wraps it (ROADMAP item 4).
+# A serial map, kept while perfbench/tracer.py wraps it by name (ROADMAP item 4).
 def _thread_map(fn, items, threads: int | None):
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
     return [fn(item) for item in items]
 
 
@@ -146,15 +142,12 @@ def rule_eu_vectors(
     rules: Sequence[DecisionRule],
     n: int,
     design: Design,
-    *,
-    threads: int | None = None,
 ) -> list[np.ndarray]:
     """Expected utility of each rule at every theta, in canonical order.
 
     One pass over the data space: each realization contributes its likelihood
     column, restricted to the rule's guesses, scaled by the guess weights.
-    Per-realization partials are combined in a fixed order, so the result does
-    not depend on the thread count.
+    Per-realization partials are combined in the fixed data-space order.
     """
     _check_bayes_budget(n, design)
     size = theta_index(n).size
@@ -170,7 +163,7 @@ def rule_eu_vectors(
         return parts
 
     xs = _data_space(n, design)
-    results = _thread_map(column, xs, threads)
+    results = _thread_map(column, xs, None)
     vectors = [np.zeros(size) for _ in rules]
     for parts in results:  # fixed data-space order
         for vec, (flat, contrib) in zip(vectors, parts):

@@ -244,16 +244,6 @@ def test_heatmap_budget_guard():
         heatmap(100, 50)
 
 
-@pytest.mark.parametrize(
-    "n, design", [(8, CompletelyRandomized(4, 8)), (4, Bernoulli(0.3))]
-)
-def test_rule_eu_vectors_pool_matches_serial(n, design):
-    rules = [MAX_LIKELIHOOD_RULE, FRECHET_RULE, MONOTONICITY_RULE]
-    serial = rule_eu_vectors(rules, n, design)
-    pooled = rule_eu_vectors(rules, n, design, threads=2)
-    assert [v.tobytes() for v in pooled] == [v.tobytes() for v in serial]
-
-
 def test_defier_region_small():
     for n in (2, 6, 10):
         result = defier_region_check(n)
