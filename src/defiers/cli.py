@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: analyze, heatmap, compare-rules, frechet-profile, oracle, monty.
-Exit codes: 0 success, 2 input error, 3 size-guard refusal.  Progress goes to
-stderr unless --quiet.
+Exit codes: 0 success, 2 input error, 3 size-guard refusal.  Subcommands raise;
+``main`` alone maps a ``BudgetExceededError`` to 3 and any other ``ValueError``
+to 2.  Progress goes to stderr unless --quiet.
 """
 from __future__ import annotations
 
@@ -17,9 +18,7 @@ from .core import (
     Bernoulli,
     BudgetExceededError,
     CompletelyRandomized,
-    DegenerateDataError,
     Design,
-    DesignInconsistencyError,
     ExperimentData,
     Theta,
 )
@@ -50,12 +49,6 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _progress(args: argparse.Namespace):
     if args.quiet:
         return None
@@ -69,11 +62,10 @@ def _load_request_inputs(args: argparse.Namespace) -> tuple[Design, ExperimentDa
         try:
             doc = json.loads(path.read_text())
         except OSError as exc:
-            raise _CliError(f"cannot read {path}: {exc}", EXIT_INPUT) from exc
+            raise ValueError(f"cannot read {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise _CliError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
-                EXIT_INPUT,
+            raise ValueError(
+                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
         try:
             counts = doc["counts"]
@@ -85,29 +77,19 @@ def _load_request_inputs(args: argparse.Namespace) -> tuple[Design, ExperimentDa
                 design_doc.setdefault("n", data.n)
             design = design_from_dict(design_doc)
         except (KeyError, TypeError, ValueError) as exc:
-            raise _CliError(f"{path}: bad field: {exc}", EXIT_INPUT) from exc
+            raise ValueError(f"{path}: bad field: {exc}") from exc
         return design, data
     missing = [k for k in ("i1", "i0", "c1", "c0") if getattr(args, k) is None]
     if missing:
-        raise _CliError(
-            f"provide --input FILE or all of --i1 --i0 --c1 --c0 (missing {missing})",
-            EXIT_INPUT,
+        raise ValueError(
+            f"provide --input FILE or all of --i1 --i0 --c1 --c0 (missing {missing})"
         )
-    try:
-        data = ExperimentData(i1=args.i1, i0=args.i0, c1=args.c1, c0=args.c0)
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_INPUT) from exc
+    data = ExperimentData(i1=args.i1, i0=args.i0, c1=args.c1, c0=args.c0)
     if (args.m is None) == (args.p is None):
-        raise _CliError("provide exactly one of --m (completely randomized) or --p (Bernoulli)", EXIT_INPUT)
-    try:
-        design: Design
-        if args.m is not None:
-            design = CompletelyRandomized(m=args.m, n=data.n)
-        else:
-            design = Bernoulli(p=args.p)
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_INPUT) from exc
-    return design, data
+        raise ValueError("provide exactly one of --m (completely randomized) or --p (Bernoulli)")
+    if args.m is not None:
+        return CompletelyRandomized(m=args.m, n=data.n), data
+    return Bernoulli(p=args.p), data
 
 
 def _warn_bernoulli(design: Design, args: argparse.Namespace) -> None:
@@ -141,7 +123,7 @@ def _write(args: argparse.Namespace, name: str, content: str) -> Path:
         path = out_dir / name
         path.write_text(content)
     except OSError as exc:
-        raise _CliError(f"cannot write {name}: {exc}", EXIT_INPUT) from exc
+        raise ValueError(f"cannot write {name}: {exc}") from exc
     if not args.quiet:
         print(f"wrote {path}", file=sys.stderr)
     return path
@@ -150,18 +132,15 @@ def _write(args: argparse.Namespace, name: str, content: str) -> Path:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     design, data = _load_request_inputs(args)
     _warn_bernoulli(design, args)
-    try:
-        request = AnalysisRequest(
-            design=design,
-            data=data,
-            credible_level=args.level,
-            with_frechet_profile=not args.no_profile,
-            with_monotonicity=not args.no_monotonicity,
-            exact_arithmetic=args.exact,
-        )
-        report = analyze(request, progress=_progress(args))
-    except (DegenerateDataError, DesignInconsistencyError, ValueError) as exc:
-        raise _CliError(str(exc), EXIT_INPUT) from exc
+    request = AnalysisRequest(
+        design=design,
+        data=data,
+        credible_level=args.level,
+        with_frechet_profile=not args.no_profile,
+        with_monotonicity=not args.no_monotonicity,
+        exact_arithmetic=args.exact,
+    )
+    report = analyze(request, progress=_progress(args))
     _write(args, "report.json", report_to_json(report))
     _write(args, "report.txt", render_text(report))
     if not args.quiet:
@@ -172,24 +151,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_frechet_profile(args: argparse.Namespace) -> int:
     design, data = _load_request_inputs(args)
     _warn_bernoulli(design, args)
-    try:
-        fs = frechet_set(estimate_marginals(data, design))
-        rows = frechet_profile(fs, data, design)
-        flags = profile_level_flags(rows, args.level)
-    except (DegenerateDataError, DesignInconsistencyError, ValueError) as exc:
-        raise _CliError(str(exc), EXIT_INPUT) from exc
+    fs = frechet_set(estimate_marginals(data, design))
+    rows = frechet_profile(fs, data, design)
+    flags = profile_level_flags(rows, args.level)
     _write(args, "frechet_profile.csv", profile_csv(rows, flags))
     _write(args, "frechet_profile.svg", profile_svg(rows, flags))
     return EXIT_OK
 
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
-    try:
-        cells = heatmap(args.n, args.m, force=args.force, progress=_progress(args))
-    except BudgetExceededError as exc:
-        raise _CliError(str(exc), EXIT_BUDGET) from exc
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_INPUT) from exc
+    cells = heatmap(args.n, args.m, force=args.force, progress=_progress(args))
     _write(args, "heatmap.csv", heatmap_csv(cells))
     _write(args, "heatmap.svg", heatmap_svg(cells))
     return EXIT_OK
@@ -197,11 +168,10 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 
 def _cmd_compare_rules(args: argparse.Namespace) -> int:
     if args.max_n < 2 or args.max_n % 2 != 0:
-        raise _CliError(f"--max-n must be even and >= 2, got {args.max_n}", EXIT_INPUT)
+        raise ValueError(f"--max-n must be even and >= 2, got {args.max_n}")
     if args.max_n > BAYES_MAX_N_CR:
-        raise _CliError(
-            f"--max-n {args.max_n} exceeds the exact-evaluation guard of {BAYES_MAX_N_CR}",
-            EXIT_BUDGET,
+        raise BudgetExceededError(
+            f"--max-n {args.max_n} exceeds the exact-evaluation guard of {BAYES_MAX_N_CR}"
         )
     progress = _progress(args)
     rows = []
@@ -215,15 +185,8 @@ def _cmd_compare_rules(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        theta = Theta(args.at, args.co, args.de, args.nt)
-        if not 0 <= args.m <= theta.n:
-            raise ValueError(f"need 0 <= m <= n, got m={args.m}, n={theta.n}")
-        tally = oracle_data_distribution(theta, args.m)
-    except BudgetExceededError as exc:
-        raise _CliError(str(exc), EXIT_BUDGET) from exc
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_INPUT) from exc
+    theta = Theta(args.at, args.co, args.de, args.nt)
+    tally = oracle_data_distribution(theta, args.m)
     total = math.comb(theta.n, args.m)
     print("i1,i0,c1,c0,assignments,fraction")
     for x in sorted(tally, key=lambda d: (d.i1, d.c1)):
@@ -312,13 +275,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DegenerateDataError, DesignInconsistencyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

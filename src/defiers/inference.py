@@ -65,11 +65,7 @@ class MleResult:
 
 
 def _exact_counts(index: ThetaIndex, flat: np.ndarray, x: ExperimentData) -> list[int]:
-    at, co, de, nt = index.components(flat)
-    return [
-        exact_assignment_count(Theta(int(a), int(c), int(d), int(t)), x)
-        for a, c, d, t in zip(at, co, de, nt)
-    ]
+    return [exact_assignment_count(t, x) for t in _thetas_from_flat(index.n, flat)]
 
 
 def _argmax_ties(

@@ -201,12 +201,12 @@ def oracle_data_distribution(theta: Theta, m: int) -> dict[ExperimentData, int]:
     independent of the binomial-sum likelihood it is used to check.
     """
     n = theta.n
+    if not 0 <= m <= n:
+        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     if n > ORACLE_MAX_N:
         raise BudgetExceededError(
             f"assignment oracle enumerates all subsets; n={n} exceeds {ORACLE_MAX_N}"
         )
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     codes = _roster(theta)
     # takeup indicator per type in intervention and in control
     takes_i = (1, 1, 0, 0)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +219,71 @@ def test_oracle_budget(capsys):
     assert code == 3
 
 
+COUNTS = ["--i1", "1", "--i0", "1", "--c1", "1", "--c0", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (
+            ["analyze", "--input", "{tmp}/absent.json"],
+            2,
+            "cannot read {tmp}/absent.json: [Errno 2] No such file or directory: "
+            "'{tmp}/absent.json'",
+        ),
+        (
+            ["analyze", "--i1", "1", "--i0", "1"],
+            2,
+            "provide --input FILE or all of --i1 --i0 --c1 --c0 (missing ['c1', 'c0'])",
+        ),
+        (
+            ["analyze", *COUNTS],
+            2,
+            "provide exactly one of --m (completely randomized) or --p (Bernoulli)",
+        ),
+        (
+            ["frechet-profile", *COUNTS, "--m", "2", "--p", "0.5"],
+            2,
+            "provide exactly one of --m (completely randomized) or --p (Bernoulli)",
+        ),
+        (
+            ["analyze", "--i1", "-1", "--i0", "1", "--c1", "1", "--c0", "1", "--m", "1"],
+            2,
+            "ExperimentData counts must be non-negative, got -1",
+        ),
+        (
+            ["analyze", *COUNTS, "--m", "2", "--out-dir", "{tmp}/input.json"],
+            2,
+            "cannot write report.json: [Errno 17] File exists: '{tmp}/input.json'",
+        ),
+        (["compare-rules", "--max-n", "5"], 2, "--max-n must be even and >= 2, got 5"),
+        (["heatmap", "--n", "4", "--m", "5"], 2, "need 0 <= m <= n, got m=5, n=4"),
+        (
+            ["oracle", "--at", "0", "--co", "2", "--de", "0", "--nt", "0", "--m", "3"],
+            2,
+            "need 0 <= m <= n, got m=3, n=2",
+        ),
+        (
+            ["oracle", "--at", "25", "--co", "0", "--de", "0", "--nt", "0", "--m", "30"],
+            2,
+            "need 0 <= m <= n, got m=30, n=25",
+        ),
+        (
+            ["oracle", "--at", "-1", "--co", "2", "--de", "0", "--nt", "0", "--m", "1"],
+            2,
+            "Theta counts must be non-negative, got -1",
+        ),
+    ],
+)
+def test_error_exit_table(tmp_path, capsys, argv, code, line):
+    write_input(tmp_path, SIX_DOC)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    got, out, err = run(capsys, *argv, "--quiet")
+    assert got == code
+    assert out == ""
+    assert err == f"error: {line.format(tmp=tmp_path)}\n"
+
+
 def test_monty_cmd(capsys):
     from fractions import Fraction
 
@@ -226,3 +295,20 @@ def test_monty_cmd(capsys):
     fields = dict(part.split(": ") for part in line.split(", "))
     assert fields["decision"] == "switch"
     assert Fraction(fields["car-present"]) > Fraction(fields["car-absent"])
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["monty"], 0), (["heatmap", "--n", "100", "--m", "50", "--quiet"], 3)],
+)
+def test_module_entry_point_exit_codes(tmp_path, argv, code):
+    # `python -m defiers.cli` hands main's return value to the process exit
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "defiers.cli", *argv, "--out-dir", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr

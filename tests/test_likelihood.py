@@ -93,6 +93,12 @@ def test_oracle_examples():
         oracle_data_distribution(Theta(21, 0, 0, 0), 10)
 
 
+def test_oracle_checks_the_arm_size_before_the_budget():
+    # an impossible arm size is an input error at any n, not a size refusal
+    with pytest.raises(ValueError, match="need 0 <= m <= n, got m=30, n=25"):
+        oracle_data_distribution(Theta(25, 0, 0, 0), 30)
+
+
 @pytest.mark.parametrize("n", range(0, 7))
 def test_oracle_equivalence_exhaustive(n):
     # every theta, every arm size: exact sums equal brute-force assignment tallies
