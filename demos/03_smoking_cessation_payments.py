@@ -3,7 +3,9 @@
 A published experiment randomized half of 612 pregnant smokers to a payment
 arm; 69/306 quit under payment versus 26/306 under usual care.  Payments can
 crowd out intrinsic motivation, so defiers are plausible.  The exhaustive
-grid search here scans all 38,579,155 joint type-count vectors.
+grid search here covers all 38,579,155 joint type-count vectors: the
+8,870,400 cells of the likelihood's support box hold every vector that can
+produce the data, and the rest have likelihood 0.
 """
 import time
 from pathlib import Path

@@ -24,7 +24,7 @@ from .core import (
     theta_index,
 )
 from .likelihood import assignment_count_grid
-from .inference import _argmax_ties, _monotone_flat_indices, _thetas_from_flat
+from .inference import _argmax_ties, _thetas_from_flat
 from .frechet import estimate_marginals, frechet_set
 
 # Exact Bayes evaluation enumerates every (theta, data) pair; these guards
@@ -40,32 +40,32 @@ FISHER_SLACK = 1e-7
 
 WeightedGuess = Sequence[tuple[Theta, float]]
 
-# A decision rule maps one data realization, with its assignment-count grid,
-# to the flat indices of its guesses and the weight on each (a scalar when
-# all weights are equal): rule(grid, x, design) -> (flat_indices, weight).
+# A decision rule maps one data realization, with its assignment-count box,
+# to the canonical flat indices of its guesses and the weight on each (a
+# scalar when all weights are equal): rule(box, x, design) -> (flat, weight).
 DecisionRule = Callable[
     [np.ndarray, ExperimentData, Design], tuple[np.ndarray, "float | np.ndarray"]
 ]
 
 
 def MAX_LIKELIHOOD_RULE(
-    grid: np.ndarray, x: ExperimentData, design: Design
+    box: np.ndarray, x: ExperimentData, design: Design
 ) -> tuple[np.ndarray, float]:
     """Every likelihood maximizer, with equal weights."""
-    flat, _ = _argmax_ties(grid, x)
+    flat, _ = _argmax_ties(box, x)
     return flat, 1.0 / flat.size
 
 
 def MONOTONICITY_RULE(
-    grid: np.ndarray, x: ExperimentData, design: Design
+    box: np.ndarray, x: ExperimentData, design: Design
 ) -> tuple[np.ndarray, float]:
     """Every maximizer among no-defier or no-complier vectors, with equal weights."""
-    flat, _ = _argmax_ties(grid, x, _monotone_flat_indices(x.n))
+    flat, _ = _argmax_ties(box, x, True)
     return flat, 1.0 / flat.size
 
 
 def FRECHET_RULE(
-    grid: np.ndarray, x: ExperimentData, design: Design
+    box: np.ndarray, x: ExperimentData, design: Design
 ) -> tuple[np.ndarray, float]:
     """Every member of the estimated Fréchet set, with equal weights.
 
@@ -86,7 +86,7 @@ def custom_rule(decide: Callable[[ExperimentData, Design], WeightedGuess]) -> De
     """Decision rule from a function returning ``[(theta, weight), ...]`` for data."""
 
     def rule(
-        grid: np.ndarray, x: ExperimentData, design: Design
+        box: np.ndarray, x: ExperimentData, design: Design
     ) -> tuple[np.ndarray, np.ndarray]:
         guesses = decide(x, design)
         index = theta_index(x.n)
@@ -151,19 +151,24 @@ def rule_eu_vectors(
     """
     _check_bayes_budget(n, design)
     size = theta_index(n).size
+    # (at, co, de) of every flat index, decoded once for all realizations
+    decoded = np.stack(theta_index(n).components(np.arange(size))[:3])
 
     def column(x: ExperimentData) -> list[tuple[np.ndarray, np.ndarray]]:
-        grid = assignment_count_grid(x)
-        log_const = _design_log_constant(x, design)
-        scale = math.exp(log_const)
+        box = assignment_count_grid(x)
+        scale = math.exp(_design_log_constant(x, design))
         parts = []
         for rule in rules:
-            flat, weight = rule(grid, x, design)
-            parts.append((flat, grid[flat] * (weight * scale)))
+            flat, weight = rule(box, x, design)
+            coords = decoded[:, flat]
+            # a guess outside the box (a Fréchet member can be) has likelihood 0
+            inside = (coords.T < box.shape).all(axis=1)
+            likelihood = np.zeros(flat.size)
+            likelihood[inside] = box[tuple(coords[:, inside])]
+            parts.append((flat, likelihood * (weight * scale)))
         return parts
 
-    xs = _data_space(n, design)
-    results = _thread_map(column, xs, None)
+    results = _thread_map(column, _data_space(n, design), None)
     vectors = [np.zeros(size) for _ in rules]
     for parts in results:  # fixed data-space order
         for vec, (flat, contrib) in zip(vectors, parts):
@@ -258,8 +263,7 @@ class HeatmapCell:
 
 def _heatmap_cell(n: int, m: int, i1: int, c1: int) -> HeatmapCell:
     x = ExperimentData(i1, m - i1, c1, n - m - c1)
-    grid = assignment_count_grid(x)
-    flat, _ = _argmax_ties(grid, x)
+    flat, _ = _argmax_ties(assignment_count_grid(x), x)
     ties = _thetas_from_flat(n, flat)
     letters = sorted(
         {letter for theta in ties for letter in theta.types_present()},

@@ -1,8 +1,9 @@
 """Grid-search maximum likelihood, posterior under a uniform prior, credible sets.
 
-The scan works on the float64 likelihood grid; any maximizer or boundary
-candidates that the float values cannot separate are re-checked with exact
-integer assignment counts before ties are reported.
+The scan works on the float64 likelihood's support box
+(``assignment_count_grid``) and converts only what it returns to canonical
+flat indices; any maximizer or boundary candidates that the float values
+cannot separate are re-checked with exact integer assignment counts.
 
 ``posterior(x, design, level)`` returns a ``PosteriorTable`` that holds only
 the top of the sorted posterior: every entry with mass at or above the mass
@@ -22,7 +23,6 @@ from .core import (
     Design,
     ExperimentData,
     Theta,
-    ThetaIndex,
     check_design,
     theta_index,
 )
@@ -64,34 +64,35 @@ class MleResult:
         return self.maximizers[0]
 
 
-def _exact_counts(index: ThetaIndex, flat: np.ndarray, x: ExperimentData) -> list[int]:
-    return [exact_assignment_count(t, x) for t in _thetas_from_flat(index.n, flat)]
+def _exact_counts(flat: np.ndarray, x: ExperimentData) -> list[int]:
+    return [exact_assignment_count(t, x) for t in _thetas_from_flat(x.n, flat)]
 
 
 def _argmax_ties(
-    grid: np.ndarray, x: ExperimentData, candidate_flat: np.ndarray | None = None
+    box: np.ndarray, x: ExperimentData, monotone: bool | None = None
 ) -> tuple[np.ndarray, bool]:
     """Flat indices of all exact maximizers, ascending (= canonical order).
 
-    ``candidate_flat`` restricts the search to a subset of the grid.
+    ``monotone`` restricts the search to vectors with no defiers or no
+    compliers, the box planes ``box[:, :, 0]`` and ``box[:, 0, :]``; it is
+    passed positionally, None when unrestricted, as perfbench's tracer reads it.
     """
-    index = theta_index(x.n)
-    values = grid if candidate_flat is None else grid[candidate_flat]
-    top = float(values.max())
+    parts = (box[:, :, :1], box[:, :1, :]) if monotone else (box,)
+    top = float(max(part.max() for part in parts))
     if top <= 0.0:
         raise AssertionError("likelihood is zero everywhere; data inconsistent")
     cutoff = math.exp(log_tie_cutoff(math.log(top)))
-    near = np.nonzero(values >= cutoff)[0]
-    flat = near if candidate_flat is None else candidate_flat[near]
+    near = [np.unravel_index(np.flatnonzero(p >= cutoff), p.shape) for p in parts]
+    at, co, de = (np.concatenate(axis) for axis in zip(*near))
+    flat, first = np.unique(theta_index(x.n).flatten(at, co, de), return_index=True)
     if flat.size == 1:
         return flat, True
     if flat.size > EXACT_TIE_CAP:
         # Too many suspects for exact confirmation: keep bit-equal maxima.
-        return np.sort(flat[grid[flat] == top]), False
-    counts = _exact_counts(index, flat, x)
+        return flat[box[at, co, de][first] == top], False
+    counts = _exact_counts(flat, x)
     best = max(counts)
-    ties = flat[np.asarray([c == best for c in counts])]
-    return np.sort(ties), True
+    return flat[np.asarray([c == best for c in counts])], True
 
 
 def _thetas_from_flat(n: int, flat: np.ndarray) -> tuple[Theta, ...]:
@@ -102,12 +103,9 @@ def _thetas_from_flat(n: int, flat: np.ndarray) -> tuple[Theta, ...]:
     )
 
 
-def _mle_over(
-    x: ExperimentData, design: Design, candidate_flat: np.ndarray | None
-) -> MleResult:
-    """All maximizers among ``candidate_flat`` (None: the whole grid)."""
+def _mle_over(x: ExperimentData, design: Design, monotone: bool | None) -> MleResult:
     check_design(x, design)
-    flat, verified = _argmax_ties(_cached_grid(x), x, candidate_flat)
+    flat, verified = _argmax_ties(_cached_grid(x), x, monotone)
     maximizers = _thetas_from_flat(x.n, flat)
     return MleResult(
         maximizers=maximizers,
@@ -121,24 +119,9 @@ def mle(x: ExperimentData, design: Design) -> MleResult:
     return _mle_over(x, design, None)
 
 
-@functools.lru_cache(maxsize=8)
-def _monotone_flat_indices(n: int) -> np.ndarray:
-    """Flat indices of all thetas with no defiers or no compliers."""
-    index = theta_index(n)
-    chunks = []
-    for at in range(n + 1):
-        co = np.arange(n - at + 1, dtype=np.int64)
-        chunks.append(index.flatten(np.full_like(co, at), co, np.zeros_like(co)))
-        de = np.arange(1, n - at + 1, dtype=np.int64)
-        chunks.append(index.flatten(np.full_like(de, at), np.zeros_like(de), de))
-    out = np.unique(np.concatenate(chunks))
-    out.setflags(write=False)
-    return out
-
-
 def monotonicity_mle(x: ExperimentData, design: Design) -> MleResult:
     """Maximum likelihood restricted to no-defier and/or no-complier vectors."""
-    return _mle_over(x, design, _monotone_flat_indices(x.n))
+    return _mle_over(x, design, True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,40 +154,41 @@ def posterior(x: ExperimentData, design: Design, level: float) -> PosteriorTable
     """Posterior masses proportional to the likelihood, down to the level's boundary.
 
     The top entries are found by partition, growing the block fourfold until
-    its mass reaches the level; only the block is sorted and decoded.
+    its mass reaches the level; only the block is sorted.
     """
     check_design(x, design)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0,1), got {level}")
-    grid = _cached_grid(x)
-    values = grid[grid > 0]
-    total = grid.sum() if x.n <= FULL_TABLE_MAX_N else values.sum()
+    box = _cached_grid(x)
+    index = theta_index(x.n)
+    # Reversed on every axis, the box lists its positive entries in canonical
+    # order, the order the normaliser is summed in.
+    values = np.flip(box)[np.flip(box) > 0]
+    total = (  # up to FULL_TABLE_MAX_N, the canonical grid's sum, zeros included
+        np.bincount(index.flatten(*np.nonzero(box)), box[box > 0], index.size).sum()
+        if x.n <= FULL_TABLE_MAX_N
+        else values.sum()
+    )
     assert total > 0.0, "saturated theta always has positive likelihood"
     # No fewer than level / (top mass) entries can reach the level.
     size = math.ceil(level / (values.max() / total))
     while True:
         size = min(size, values.size)
-        kept = np.argpartition(values, values.size - size)[values.size - size:]
-        top = np.sort(values[kept])[::-1] / total
+        values.partition(values.size - size)  # values is a copy; reorder it
+        top = np.sort(values[values.size - size:])[::-1] / total
         cum = np.cumsum(top)
         if cum[-1] >= level or size == values.size:
             break
         size *= 4
     v = top[min(int(np.searchsorted(cum, level, side="left")), size - 1)]
-    # Gather every entry of mass v or more from the whole grid, so that a
+    # Gather every entry of mass v or more from the whole box, so that a
     # float-tie run the partition cut stays whole.
-    flat = np.flatnonzero(grid >= values[values / total >= v].min())
-    order = np.lexsort((flat, -grid[flat]))
-    flat = flat[order]
-    at, co, de, _ = theta_index(x.n).components(flat)
-    return PosteriorTable(
-        x,
-        level,
-        at.astype(np.uint32),
-        co.astype(np.uint32),
-        de.astype(np.uint32),
-        grid[flat] / total,
-    )
+    w = values[values / total >= v].min()
+    coords = np.unravel_index(np.flatnonzero(box >= w), box.shape)
+    block = box[coords]
+    order = np.lexsort((index.flatten(*coords), -block))
+    at, co, de = (axis[order].astype(np.uint32) for axis in coords)
+    return PosteriorTable(x, level, at, co, de, block[order] / total)
 
 
 @dataclass(frozen=True)
@@ -236,13 +220,12 @@ def _boundary_members(
     run = np.arange(run_start, run_end + 1)
     if run.size > EXACT_TIE_CAP:
         return run  # accept the whole float block; conservative and deterministic
-    index = theta_index(post.n)
-    flat = index.flatten(
+    flat = theta_index(post.n).flatten(
         post.at[run].astype(np.int64),
         post.co[run].astype(np.int64),
         post.de[run].astype(np.int64),
     )
-    counts = _exact_counts(index, flat, post.x)
+    counts = _exact_counts(flat, post.x)
     order = sorted(range(run.size), key=lambda i: (-counts[i], flat[i]))
     v = float(post.mass[k])
     taken: list[int] = []

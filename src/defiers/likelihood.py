@@ -33,7 +33,6 @@ from .core import (
     ExperimentData,
     Theta,
     check_design,
-    theta_index,
 )
 from .combinatorics import LOG_ZERO, choose_table, log_binomial
 
@@ -41,11 +40,14 @@ from .combinatorics import LOG_ZERO, choose_table, log_binomial
 # C(20, 10) = 184,756 subsets per call.
 ORACLE_MAX_N = 20
 
-# The full-grid scan materializes C(n+3, 3) float64 values (~310 MB at n=612,
-# ~1.3 GB at the cap below).  The cap also keeps sums in float64 range: each
-# entry is at most C(n, n//2), so the grid sum is at most
-# theta_count(n) * C(n, n//2), 10^307.66 at n=1000; the bound first exceeds
-# the float64 maximum (10^308.25) at n=1002.
+# The grid scan allocates its support box, (i1+c1+1)(i1+c0+1)(i0+c1+1) float64
+# cells: 8.87M (71 MB) on the n=612 smoking table, where the canonical grid has
+# C(n+3, 3) = 38.6M (309 MB).  All-takeup tables (n/2, 0, n/2, 0) give the
+# largest box, about n**3/4 cells = 1.5 C(n+3, 3): 57.8M (0.46 GB) at n=612 and
+# 251M (2.01 GB) at the cap below (canonical: 1.34 GB).  The cap also keeps sums
+# in float64 range: each entry is at most C(n, n//2), so the grid sum is at most
+# theta_count(n) * C(n, n//2), 10^307.66 at n=1000; the bound first exceeds the
+# float64 maximum (10^308.25) at n=1002.
 GRID_MAX_N = 1000
 
 SHARE_SUM_TOL = 1e-12
@@ -229,16 +231,18 @@ def oracle_assignment_count(theta: Theta, x: ExperimentData, m: int) -> int:
 
 
 def assignment_count_grid(x: ExperimentData) -> np.ndarray:
-    """Assignment count of every Theta with n = x.n, in canonical order.
+    """Assignment count of every Theta with n = x.n, as its support box.
 
-    Instead of visiting each parameter vector and summing its feasible arm
-    compositions, this enumerates the compositions themselves: a choice of how
-    many intervention takers are always takers, how many intervention
-    non-takers are defiers, and likewise for the control cells, determines one
-    parameter vector and one product of four binomial coefficients.  Each
-    (theta, composition) pair is visited exactly once, so scatter-adding the
-    products over the composition grid fills the whole likelihood in
-    O((i1+1)(i0+1)(c1+1)(c0+1)) work.
+    Returns ``box[at, co, de]`` (nt implied) of shape (i1+c1+1, i1+c0+1,
+    i0+c1+1); every Theta outside it has count 0, and so do its cells with
+    at + co + de > n.  Instead of visiting each parameter vector, this
+    enumerates arm compositions: how many intervention takers are always
+    takers (a_i), intervention non-takers defiers (d_i), control takers always
+    takers (a_c) and control non-takers compliers (c_c) determines one vector,
+    (at, co, de) = (a_i + a_c, i1 - a_i + c_c, c1 - a_c + d_i), and one product
+    of four binomial coefficients.  For each a_i that map is affine and
+    injective, so its products are added onto one strided view of the box, in
+    O((i1+1)(i0+1)(c1+1)(c0+1)) work in all.
 
     Values are float64; counts are exact wherever they stay below 2**53, and
     suspected ties are confirmed with exact integer sums by callers.
@@ -250,17 +254,26 @@ def assignment_count_grid(x: ExperimentData) -> np.ndarray:
         )
     i1, i0, c1, c0 = x.counts()
     table = choose_table(n)
-    index = theta_index(n)
-    grid = np.zeros(index.size)
-    d_i = np.arange(i0 + 1, dtype=np.int64)[:, None, None]  # defiers in intervention
-    a_c = np.arange(c1 + 1, dtype=np.int64)[None, :, None]  # always takers in control
-    c_c = np.arange(c0 + 1, dtype=np.int64)[None, None, :]  # compliers in control
-    for a_i in range(i1 + 1):  # always takers in intervention
-        at = a_i + a_c
-        co = (i1 - a_i) + c_c
-        de = d_i + (c1 - a_c)
-        nt = (i0 - d_i) + (c0 - c_c)
-        term = table[at, a_i] * table[co, i1 - a_i] * table[de, d_i] * table[nt, i0 - d_i]
-        idx = index.flatten(at, co, de)
-        np.add.at(grid, np.broadcast_to(idx, term.shape).ravel(), term.ravel())
-    return grid
+    box = np.zeros((i1 + c1 + 1, i1 + c0 + 1, i0 + c1 + 1))
+    s_at, s_co, s_de = box.strides
+    # slabs[a_i][c_c, a_c, d_i] is box[a_i + a_c, i1 - a_i + c_c, c1 - a_c + d_i]
+    slabs = np.ndarray(
+        shape=(i1 + 1, c0 + 1, c1 + 1, i0 + 1),
+        buffer=box,
+        offset=i1 * s_co + c1 * s_de,
+        strides=(s_at - s_co, s_co, s_at - s_de, s_de),
+    )
+    a_i = np.arange(i1 + 1)[:, None, None]
+    c_c = np.arange(c0 + 1)[:, None]
+    a_c = np.arange(c1 + 1)
+    d_i = np.arange(i0 + 1)
+    # term = ((C(at, a_i) C(co, i1-a_i)) C(de, d_i)) C(nt, i0-d_i); order fixes bits
+    head = table[a_i + a_c, a_i] * table[i1 - a_i + c_c, i1 - a_i]
+    de_part = table[c1 - a_c[:, None] + d_i, d_i]
+    nt_part = table[(i0 - d_i) + (c0 - c_c), i0 - d_i][:, None, :]
+    term = np.empty(slabs.shape[1:])
+    for k in range(i1 + 1):  # ascending a_i: each cell's summation order
+        np.multiply(head[k][..., None], de_part, out=term)
+        term *= nt_part
+        slabs[k] += term
+    return box

@@ -48,6 +48,8 @@ from defiers.evaluation import (
     rule_comparison_curve,
 )
 
+from grid_reference import canonical
+
 SIX_X = ExperimentData(2, 1, 1, 2)
 SIX_CR = CompletelyRandomized(3, 6)
 ORGAN_X = ExperimentData(50, 11, 23, 31)
@@ -207,7 +209,7 @@ def test_criterion_07_oracle_equivalence_and_normalization():
                 for i1 in range(m + 1):
                     for c1 in range(n - m + 1):
                         x = ExperimentData(i1, m - i1, c1, n - m - c1)
-                        totals += assignment_count_grid(x)
+                        totals += canonical(assignment_count_grid(x), n)
                 totals /= math.comb(n, m)
                 assert np.max(np.abs(totals - 1.0)) < 1e-10
             for p in (0.3, 0.5):
@@ -217,7 +219,7 @@ def test_criterion_07_oracle_equivalence_and_normalization():
                         for c1 in range(n - i1 - i0 + 1):
                             x = ExperimentData(i1, i0, c1, n - i1 - i0 - c1)
                             scale = p ** (i1 + i0) * (1 - p) ** (x.c1 + x.c0)
-                            totals += assignment_count_grid(x) * scale
+                            totals += canonical(assignment_count_grid(x), n) * scale
                 assert np.max(np.abs(totals - 1.0)) < 1e-10
 
 

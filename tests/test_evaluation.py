@@ -40,6 +40,8 @@ from defiers.evaluation import (
     rule_eu_vectors,
 )
 
+from grid_reference import reference_grid
+
 
 def brute_force_eu(rule_decide, theta, m):
     """Independent oracle: average the rule's weight on theta over assignments."""
@@ -374,3 +376,40 @@ def test_data_probabilities_sum_to_one(design):
     everything = custom_rule(lambda x, design: [(t, 1.0) for t in enumerate_thetas(x.n)])
     vec = rule_eu_vectors([everything], 5, design)[0]
     assert np.allclose(vec, 1.0, rtol=0, atol=1e-12)
+
+
+def reference_rule_eu_vectors(n, design):
+    """The three named rules' EU vectors, read off ``reference_grid``.
+
+    Maximizers are the bit-equal float maxima, which are the exact ones at
+    n <= 12; the likelihood of each guess is read in canonical order, so a
+    guess outside the support box reads 0 without any box arithmetic.
+    """
+    index = theta_index(n)
+    _, co, de, _ = index.components(np.arange(index.size))
+    monotone = (co == 0) | (de == 0)
+    vectors = [np.zeros(index.size) for _ in range(3)]
+    for x in evaluation._data_space(n, design):
+        grid = reference_grid(x)
+        scale = math.exp(evaluation._design_log_constant(x, design))
+        mle_flat = np.flatnonzero(grid == grid.max())
+        mono_flat = np.flatnonzero(monotone & (grid == grid[monotone].max()))
+        guesses = (
+            (mle_flat, 1.0 / mle_flat.size),
+            FRECHET_RULE(None, x, design),
+            (mono_flat, 1.0 / mono_flat.size),
+        )
+        for vec, (flat, weight) in zip(vectors, guesses):
+            np.add.at(vec, flat, grid[flat] * (weight * scale))
+    return vectors
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rule_eu_vectors_match_the_reference_grid(n):
+    rules = [MAX_LIKELIHOOD_RULE, FRECHET_RULE, MONOTONICITY_RULE]
+    designs = {CompletelyRandomized(n // 2, n), CompletelyRandomized(n // 3, n), Bernoulli(0.3)}
+    for design in designs:
+        got = rule_eu_vectors(rules, n, design)
+        want = reference_rule_eu_vectors(n, design)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))

@@ -24,6 +24,8 @@ from defiers.inference import (
 )
 from defiers.reports import AnalysisRequest, analyze, render_text, report_to_json
 
+from grid_reference import canonical, tables
+
 SIX = ExperimentData(2, 1, 1, 2)
 CR6 = CompletelyRandomized(3, 6)
 
@@ -235,7 +237,7 @@ def full_sort_posterior(x, level):
     The normaliser is summed as ``posterior`` sums it: over the whole grid up
     to ``FULL_TABLE_MAX_N`` and over the positive entries above.
     """
-    grid = assignment_count_grid(x)
+    grid = canonical(assignment_count_grid(x), x.n)
     flat = np.flatnonzero(grid)
     values = grid[flat]
     total = grid.sum() if x.n <= FULL_TABLE_MAX_N else values.sum()
@@ -274,21 +276,14 @@ def test_cases_grow_the_block_and_cut_the_boundary_run(counts, level):
     assert run[0] < size <= run[-1]
 
 
-@st.composite
-def tables(draw, max_n=40):
-    n = draw(st.integers(1, max_n))
-    m = draw(st.integers(0, n))
-    i1 = draw(st.integers(0, m))
-    c1 = draw(st.integers(0, n - m))
-    return (i1, m - i1, c1, n - m - c1)
-
-
 @settings(max_examples=150, deadline=None)
 @given(counts=tables(), level=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 @example(counts=GROWN_AND_CUT[0][0], level=GROWN_AND_CUT[0][1])
 @example(counts=GROWN_AND_CUT[1][0], level=GROWN_AND_CUT[1][1])
 @example(counts=GROWN_AND_CUT[2][0], level=GROWN_AND_CUT[2][1])
 @example(counts=(50, 11, 23, 31), level=0.9999999999999999)
+@example(counts=(94, 20, 179, 9), level=0.95)  # n > FULL_TABLE_MAX_N
+@example(counts=(0, 5, 0, 7), level=0.25)  # v * total rounds above the boundary value
 def test_posterior_is_a_prefix_of_the_full_sort(counts, level):
     x = ExperimentData(*counts)
     post = posterior(x, CompletelyRandomized(x.i1 + x.i0, x.n), level)
@@ -326,6 +321,18 @@ def test_unconfirmed_monotone_tie_is_printed(monkeypatch):
     assert len(report.monotonicity.maximizers) == 4
     assert not report.monotonicity.tie_verified_exact
     assert render_text(report).count("  maximizer tie not confirmed exactly\n") == 1
+
+
+def test_unconfirmed_fallback_keeps_only_the_bit_equal_maxima(monkeypatch):
+    # a cutoff at e**-5 times the maximum makes lesser entries suspects; above
+    # the cap the fallback must keep exactly the entries equal to the maximum
+    x, design = ExperimentData(2, 1, 1, 3), CompletelyRandomized(3, 7)
+    want = mle(x, design).maximizers, monotonicity_mle(x, design).maximizers
+    monkeypatch.setattr(inference, "EXACT_TIE_CAP", 1)
+    monkeypatch.setattr(inference, "log_tie_cutoff", lambda log_max: log_max - 5.0)
+    for result, maximizers in zip((mle(x, design), monotonicity_mle(x, design)), want):
+        assert result.maximizers == maximizers
+        assert not result.tie_verified_exact
 
 
 def test_credible_boundary_run_above_the_cap_is_taken_whole(monkeypatch):

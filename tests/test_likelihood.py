@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from defiers.core import (
     Bernoulli,
@@ -29,6 +30,8 @@ from defiers.likelihood import (
     relative_log_likelihood,
     sampling_log_likelihood,
 )
+
+from grid_reference import canonical, reference_grid, tables
 
 SIX = ExperimentData(2, 1, 1, 2)
 CR6 = CompletelyRandomized(3, 6)
@@ -167,19 +170,84 @@ def test_design_proportionality():
 
 def test_grid_matches_scalar_path():
     for x in (SIX, ExperimentData(3, 2, 4, 1), ExperimentData(0, 5, 5, 0)):
-        grid = assignment_count_grid(x)
+        grid = canonical(assignment_count_grid(x), x.n)
         index = theta_index(x.n)
         assert grid.size == index.size
         for i, theta in enumerate(enumerate_thetas(x.n)):
             assert grid[i] == float(exact_assignment_count(theta, x))
-    assert assignment_count_grid(SIX)[theta_index(6).flat(Theta(0, 4, 2, 0))] == 12.0
+    grid = canonical(assignment_count_grid(SIX), 6)
+    assert grid[theta_index(6).flat(Theta(0, 4, 2, 0))] == 12.0
+
+
+def assert_box_is_the_reference(x):
+    """The support box holds the reference grid's bits, and the rest is 0."""
+    box = assignment_count_grid(x)
+    i1, i0, c1, c0 = x.counts()
+    assert box.shape == (i1 + c1 + 1, i1 + c0 + 1, i0 + c1 + 1)
+    reference = reference_grid(x)
+    coords = np.nonzero(box)
+    assert (coords[0] + coords[1] + coords[2] <= x.n).all()
+    flat = theta_index(x.n).flatten(*coords)
+    # every positive reference entry is a positive box cell, with the same bits
+    assert np.array_equal(np.sort(flat), np.flatnonzero(reference))
+    assert np.array_equal(box[coords].view(np.int64), reference[flat].view(np.int64))
+    return reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts=tables())
+def test_box_equals_the_reference_grid(counts):
+    x = ExperimentData(*counts)
+    reference = assert_box_is_the_reference(x)
+    box = assignment_count_grid(x)
+    assert np.array_equal(canonical(box, x.n).view(np.int64), reference.view(np.int64))
+    exact = [float(exact_assignment_count(t, x)) for t in enumerate_thetas(x.n)]
+    assert np.array_equal(reference, exact)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        (69, 237, 26, 280),  # the published smoking table
+        (50, 11, 23, 31),  # organ donation
+        (20, 0, 20, 0),  # full takeup in both arms
+        (0, 20, 0, 20),  # no takeup
+        (0, 0, 7, 5),  # empty intervention arm
+        (6, 9, 0, 0),  # empty control arm
+    ],
+)
+def test_box_is_bit_equal_to_the_reference(counts):
+    assert_box_is_the_reference(ExperimentData(*counts))
+
+
+def test_support_box_size_at_the_guard():
+    # The box axes have i1+c1+1, i1+c0+1 and i0+c1+1 cells.  The last two sum
+    # to n+2 and the first is at most n+1, so the all-takeup table
+    # (n/2, 0, n/2, 0) has the largest box: about n**3/4 cells.
+    def cells(i1, i0, c1, c0):
+        return (i1 + c1 + 1) * (i1 + c0 + 1) * (i0 + c1 + 1)
+
+    n = 24
+    largest = max(
+        cells(i1, i0, c1, n - i1 - i0 - c1)
+        for i1 in range(n + 1)
+        for i0 in range(n - i1 + 1)
+        for c1 in range(n - i1 - i0 + 1)
+    )
+    assert largest == cells(n // 2, 0, n // 2, 0)
+    assert assignment_count_grid(ExperimentData(n // 2, 0, n // 2, 0)).size == largest
+    # at the cap: 251M cells, 2.01 GB of float64, against 1.34 GB canonical
+    n = GRID_MAX_N
+    assert cells(n // 2, 0, n // 2, 0) == 251_252_001
+    assert 8 * cells(n // 2, 0, n // 2, 0) == 2_010_016_008
+    assert 8 * theta_count(n) == 1_341_348_008
 
 
 def test_grid_total_is_partition_of_assignments():
     # summing counts over all thetas that share nothing still partitions
     # each theta's own assignments; check one theta column against the oracle
     x = ExperimentData(4, 2, 3, 3)
-    grid = assignment_count_grid(x)
+    grid = canonical(assignment_count_grid(x), x.n)
     index = theta_index(x.n)
     rng = np.random.default_rng(5)
     flats = rng.integers(0, index.size, size=50)
