@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -54,12 +55,10 @@ def choose_table(n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be non-negative")
     table = np.zeros((n + 1, n + 1))
+    row = [1]  # exact row a of Pascal's triangle
     for a in range(n + 1):
-        value = 1
-        table[a, 0] = 1.0
-        for k in range(1, a + 1):
-            value = value * (a - k + 1) // k
-            table[a, k] = float(value)
+        table[a, : a + 1] = list(map(float, row))
+        row = [1, *map(operator.add, row[1:], row), 1]
     table.setflags(write=False)
     return table
 

@@ -43,7 +43,7 @@ FULL_TABLE_MAX_N = 300
 EXACT_TIE_CAP = 10_000
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _cached_grid(x: ExperimentData) -> np.ndarray:
     grid = assignment_count_grid(x)
     grid.setflags(write=False)
@@ -181,9 +181,10 @@ def posterior(x: ExperimentData, design: Design, level: float) -> PosteriorTable
             break
         size *= 4
     v = top[min(int(np.searchsorted(cum, level, side="left")), size - 1)]
-    # Gather every entry of mass v or more from the whole box, so that a
-    # float-tie run the partition cut stays whole.
-    w = values[values / total >= v].min()
+    # The smallest value of mass v or more.  Values outside the block are at most
+    # its minimum, so none reaches mass v unless that minimum's mass equals v.
+    pool = values[values.size - size:] if top[-1] < v else values
+    w = pool[pool / total >= v].min()
     coords = np.unravel_index(np.flatnonzero(box >= w), box.shape)
     block = box[coords]
     order = np.lexsort((index.flatten(*coords), -block))

@@ -47,8 +47,13 @@ ORACLE_MAX_N = 20
 # 251M (2.01 GB) at the cap below (canonical: 1.34 GB).  The cap also keeps sums
 # in float64 range: each entry is at most C(n, n//2), so the grid sum is at most
 # theta_count(n) * C(n, n//2), 10^307.66 at n=1000; the bound first exceeds the
-# float64 maximum (10^308.25) at n=1002.
+# float64 maximum (10^308.25) at n=1002.  Fill scratch beside the box is small:
+# 256 KB of products and ``head``, (i1+1)(c0+1)(c1+1) cells (4.2 MB at n=612).
 GRID_MAX_N = 1000
+
+# Cells of one block of the fill's products (256 KB), so that the block and the
+# box cells it adds onto stay in a 2 MB L2 cache while every a_i passes them.
+_BLOCK_CELLS = 1 << 15
 
 SHARE_SUM_TOL = 1e-12
 
@@ -242,7 +247,9 @@ def assignment_count_grid(x: ExperimentData) -> np.ndarray:
     (at, co, de) = (a_i + a_c, i1 - a_i + c_c, c1 - a_c + d_i), and one product
     of four binomial coefficients.  For each a_i that map is affine and
     injective, so its products are added onto one strided view of the box, in
-    O((i1+1)(i0+1)(c1+1)(c0+1)) work in all.
+    O((i1+1)(i0+1)(c1+1)(c0+1)) work in all.  Products are formed for blocks
+    of c_c rows, about 256 KB each, so scratch beside the box is that block
+    plus the (a_i, c_c, a_c) factor ``head``.
 
     Values are float64; counts are exact wherever they stay below 2**53, and
     suspected ties are confirmed with exact integer sums by callers.
@@ -271,9 +278,15 @@ def assignment_count_grid(x: ExperimentData) -> np.ndarray:
     head = table[a_i + a_c, a_i] * table[i1 - a_i + c_c, i1 - a_i]
     de_part = table[c1 - a_c[:, None] + d_i, d_i]
     nt_part = table[(i0 - d_i) + (c0 - c_c), i0 - d_i][:, None, :]
-    term = np.empty(slabs.shape[1:])
-    for k in range(i1 + 1):  # ascending a_i: each cell's summation order
-        np.multiply(head[k][..., None], de_part, out=term)
-        term *= nt_part
-        slabs[k] += term
+    # c_c = co - i1 + a_i grows with a_i, so blocks of c_c rows taken in order,
+    # each run over ascending a_i, still sum each cell in ascending a_i.
+    rows = min(c0 + 1, max(1, _BLOCK_CELLS // ((c1 + 1) * (i0 + 1))))
+    term = np.empty((rows, c1 + 1, i0 + 1))
+    for r in range(0, c0 + 1, rows):
+        nt_rows = nt_part[r : r + rows]
+        part = term[: len(nt_rows)]  # the last block may be short
+        for k in range(i1 + 1):
+            np.multiply(head[k, r : r + rows, :, None], de_part, out=part)
+            part *= nt_rows
+            slabs[k, r : r + rows] += part
     return box

@@ -62,11 +62,15 @@ def test_log_binomial_symmetry_and_accuracy():
 
 
 def test_choose_table_matches_exact():
-    table = choose_table(60)
-    for a in (0, 1, 7, 33, 60):
-        for k in range(a + 1):
-            assert table[a, k] == float(exact_binomial(a, k))
-        assert np.all(table[a, a + 1 :] == 0.0)
+    for n, rows in ((60, (0, 1, 7, 33, 60)), (1000, (57, 500, 999, 1000))):
+        table = choose_table(n)
+        for a in rows:
+            for k in range(a + 1):
+                assert table[a, k] == float(exact_binomial(a, k))
+            assert np.all(table[a, a + 1 :] == 0.0)
+    # at n=1000 entries are rounded, and the largest nears the float64 maximum
+    assert int(table[1000, 500]) != exact_binomial(1000, 500)
+    assert 1e299 < table[1000, 500] < np.finfo(np.float64).max
 
 
 def test_log_binomial_accuracy_exhaustive_to_300():

@@ -191,6 +191,12 @@ def test_organ_donation_inference():
     assert summary.de_range == (0, 34)
 
 
+def test_analyze_keeps_only_the_last_tables_box():
+    for x in (ExperimentData(50, 11, 23, 31), ExperimentData(4, 3, 2, 5)):
+        analyze(AnalysisRequest(design=CompletelyRandomized(x.i1 + x.i0, x.n), data=x))
+        assert inference._cached_grid.cache_info().currsize == 1
+
+
 def test_posterior_degenerate_single_theta():
     x = ExperimentData(0, 0, 0, 0)
     post = posterior(x, CompletelyRandomized(0, 0), 0.95)
@@ -253,6 +259,20 @@ def full_sort_posterior(x, level):
     )
 
 
+def settled_block(full, level):
+    """Size of the block ``posterior`` partitions out, and its boundary entry.
+
+    The block starts at level / (top mass) entries and grows fourfold until
+    its cumulative mass reaches the level or it holds every entry.
+    """
+    cum = np.cumsum(full.mass)
+    size = math.ceil(level / full.mass[0])
+    while size < full.entry_count and cum[size - 1] < level:
+        size *= 4
+    size = min(size, full.entry_count)
+    return size, min(int(np.searchsorted(cum[:size], level)), size - 1)
+
+
 # (table, level) pairs on which the partition must grow past its first block
 # (level / top mass entries) and the block that reaches the level ends inside
 # the boundary float-tie run, so the run must be gathered whole.
@@ -262,18 +282,38 @@ GROWN_AND_CUT = [
     ((1, 2, 14, 23), 0.9674089823115505),
 ]
 
+# (table, level) pairs on which the block ends below the boundary mass, so
+# the boundary value is looked up in the block alone.
+INSIDE_THE_BLOCK = [
+    ((4, 3, 2, 5), 0.95),
+    ((10, 10, 5, 15), 0.5),
+]
+
+# A table and level on which the block ends with the boundary mass, and the
+# next, smaller count divides by the normaliser to that same mass, so the
+# boundary value must be looked up in the whole array.
+MASS_TIE_PAST_THE_BLOCK = ((52, 12, 13, 22), 0.003130930414093042)
+
 
 @pytest.mark.parametrize("counts,level", GROWN_AND_CUT)
 def test_cases_grow_the_block_and_cut_the_boundary_run(counts, level):
     full = full_sort_posterior(ExperimentData(*counts), level)
-    cum = np.cumsum(full.mass)
-    size = math.ceil(level / full.mass[0])
-    assert cum[size - 1] < level
-    while cum[size - 1] < level:
-        size *= 4
-    k = int(np.searchsorted(cum, level))
+    assert np.cumsum(full.mass)[math.ceil(level / full.mass[0]) - 1] < level
+    size, k = settled_block(full, level)
     run = np.flatnonzero(full.mass == full.mass[k])
     assert run[0] < size <= run[-1]
+
+
+@pytest.mark.parametrize(
+    "counts,level,in_block",
+    [(*case, True) for case in INSIDE_THE_BLOCK]
+    + [(*case, False) for case in (*GROWN_AND_CUT, MASS_TIE_PAST_THE_BLOCK)],
+)
+def test_cases_find_the_boundary_value_in_the_block_or_the_whole_array(counts, level, in_block):
+    full = full_sort_posterior(ExperimentData(*counts), level)
+    size, k = settled_block(full, level)
+    # the block alone suffices when its smallest mass is below the boundary mass
+    assert (full.mass[size - 1] < full.mass[k]) == in_block
 
 
 @settings(max_examples=150, deadline=None)
@@ -281,6 +321,9 @@ def test_cases_grow_the_block_and_cut_the_boundary_run(counts, level):
 @example(counts=GROWN_AND_CUT[0][0], level=GROWN_AND_CUT[0][1])
 @example(counts=GROWN_AND_CUT[1][0], level=GROWN_AND_CUT[1][1])
 @example(counts=GROWN_AND_CUT[2][0], level=GROWN_AND_CUT[2][1])
+@example(counts=INSIDE_THE_BLOCK[0][0], level=INSIDE_THE_BLOCK[0][1])
+@example(counts=INSIDE_THE_BLOCK[1][0], level=INSIDE_THE_BLOCK[1][1])
+@example(counts=MASS_TIE_PAST_THE_BLOCK[0], level=MASS_TIE_PAST_THE_BLOCK[1])
 @example(counts=(50, 11, 23, 31), level=0.9999999999999999)
 @example(counts=(94, 20, 179, 9), level=0.95)  # n > FULL_TABLE_MAX_N
 @example(counts=(0, 5, 0, 7), level=0.25)  # v * total rounds above the boundary value
@@ -291,6 +334,9 @@ def test_posterior_is_a_prefix_of_the_full_sort(counts, level):
     k = post.entry_count
     for name in ("at", "co", "de", "mass"):
         assert np.array_equal(getattr(post, name), getattr(full, name)[:k])
+    # the prefix holds every entry of the boundary mass or more
+    v = full.mass[min(int(np.searchsorted(np.cumsum(full.mass), level)), full.entry_count - 1)]
+    assert k == np.count_nonzero(full.mass >= v)
     got = smallest_credible_set(post, level)
     want = smallest_credible_set(full, level)
     assert got == want

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from defiers import likelihood
 from defiers.core import (
     Bernoulli,
     BudgetExceededError,
@@ -218,6 +219,38 @@ def test_box_equals_the_reference_grid(counts):
 )
 def test_box_is_bit_equal_to_the_reference(counts):
     assert_box_is_the_reference(ExperimentData(*counts))
+
+
+def one_row(i1, i0, c1, c0):
+    return 1
+
+
+def ragged(i1, i0, c1, c0):
+    """Blocks of max(1, c0) rows: c0+1 rows leave a 1-row last block when c0 > 1."""
+    return c0 * (c1 + 1) * (i0 + 1)
+
+
+def one_block(i1, i0, c1, c0):
+    return (c0 + 1) * (c1 + 1) * (i0 + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=tables())
+@pytest.mark.parametrize("block_cells", [one_row, ragged])
+def test_blocked_fill_is_bit_equal_to_the_reference(block_cells, counts):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(likelihood, "_BLOCK_CELLS", block_cells(*counts))
+        assert_box_is_the_reference(ExperimentData(*counts))
+
+
+def test_smoking_box_bits_do_not_depend_on_the_block_size(monkeypatch):
+    x = ExperimentData(69, 237, 26, 280)
+    # 5-row blocks of 27 * 238 cells at the default, the last one 1 row
+    assert likelihood._BLOCK_CELLS // (27 * 238) == 5 and 281 % 5 == 1
+    box = assignment_count_grid(x)
+    for block_cells in (one_row, one_block):
+        monkeypatch.setattr(likelihood, "_BLOCK_CELLS", block_cells(*x.counts()))
+        assert np.array_equal(assignment_count_grid(x).view(np.int64), box.view(np.int64))
 
 
 def test_support_box_size_at_the_guard():
