@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: analyze, heatmap, compare-rules, frechet-profile, oracle, monty.
-Exit codes: 0 success, 2 input error, 3 size-guard refusal.  Subcommands raise;
-``main`` alone maps a ``BudgetExceededError`` to 3 and any other ``ValueError``
-to 2.  Progress goes to stderr unless --quiet.
+``analyze`` has one configuration: it always reports the MLE, the estimate
+under monotonicity, the smallest credible set and the Fréchet profile;
+``--level`` sets the credible level and ``--exact`` adds exact assignment
+counts.  Exit codes: 0 success, 2 input error, 3 size-guard refusal.
+Subcommands raise; ``main`` alone maps a ``BudgetExceededError`` to 3 and any
+other ``ValueError`` to 2.  Progress goes to stderr unless --quiet.
 """
 from __future__ import annotations
 
@@ -136,8 +139,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         design=design,
         data=data,
         credible_level=args.level,
-        with_frechet_profile=not args.no_profile,
-        with_monotonicity=not args.no_monotonicity,
         exact_arithmetic=args.exact,
     )
     report = analyze(request, progress=_progress(args))
@@ -228,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_data_options(p)
     p.add_argument("--level", type=float, default=0.95, help="credible level")
-    p.add_argument("--no-profile", action="store_true", help="skip the Fréchet profile")
-    p.add_argument("--no-monotonicity", action="store_true",
-                   help="skip the monotonicity-restricted estimate")
     p.add_argument("--exact", action="store_true",
                    help="report exact assignment counts for the maximizers")
     p.set_defaults(fn=_cmd_analyze)

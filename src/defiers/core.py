@@ -163,41 +163,6 @@ def check_design(x: ExperimentData, design: Design) -> None:
             )
 
 
-@dataclass(frozen=True)
-class ArmSplit:
-    """Counts of each type randomized into the intervention arm."""
-
-    at_i: int
-    co_i: int
-    de_i: int
-    nt_i: int
-
-    def __post_init__(self) -> None:
-        _check_counts("ArmSplit", (self.at_i, self.co_i, self.de_i, self.nt_i))
-
-    def counts(self) -> tuple[int, int, int, int]:
-        return (self.at_i, self.co_i, self.de_i, self.nt_i)
-
-
-def data_from_split(theta: Theta, split: ArmSplit) -> ExperimentData:
-    """Observed cell counts produced when ``split`` of ``theta`` enters intervention.
-
-    Takers in intervention are the always takers and compliers assigned there;
-    takers in control are the always takers and defiers left behind.
-    """
-    for have, cap, label in zip(split.counts(), theta.counts(), "ACDN"):
-        if have > cap:
-            raise ValueError(
-                f"split assigns {have} of type {label} but theta has only {cap}"
-            )
-    return ExperimentData(
-        i1=split.at_i + split.co_i,
-        i0=split.nt_i + split.de_i,
-        c1=(theta.at - split.at_i) + (theta.de - split.de_i),
-        c0=(theta.nt - split.nt_i) + (theta.co - split.co_i),
-    )
-
-
 def theta_count(n: int) -> int:
     """Number of four-part compositions of n: C(n+3, 3)."""
     if n < 0:
@@ -265,10 +230,6 @@ class ThetaIndex:
         co = j - u
         de = u - (r - u * (u + 1) // 2)
         return at, co, de, self.n - at - co - de
-
-    def theta(self, idx: int) -> Theta:
-        at, co, de, nt = self.components(np.asarray([idx]))
-        return Theta(int(at[0]), int(co[0]), int(de[0]), int(nt[0]))
 
     def flat(self, theta: Theta) -> int:
         if theta.n != self.n:

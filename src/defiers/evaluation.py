@@ -176,14 +176,6 @@ def rule_eu_vectors(
     return vectors
 
 
-def expected_utility(rule: DecisionRule, theta: Theta, design: Design) -> float:
-    """Probability that the rule guesses ``theta`` when ``theta`` is the truth."""
-    if isinstance(design, CompletelyRandomized) and design.n != theta.n:
-        raise ValueError(f"design n={design.n} but theta n={theta.n}")
-    vec = rule_eu_vectors([rule], theta.n, design)[0]
-    return float(vec[theta_index(theta.n).flat(theta)])
-
-
 def bayes_expected_utilities(
     rules: Sequence[DecisionRule],
     n: int,

@@ -19,7 +19,7 @@ from .core import (
     Theta,
     check_design,
 )
-from .likelihood import exact_assignment_count, log_likelihood
+from .likelihood import _log_likelihood_of_count, exact_assignment_count
 
 
 @dataclass(frozen=True)
@@ -110,22 +110,23 @@ class ProfileRow(NamedTuple):
 def frechet_profile(fs: FrechetSet, x: ExperimentData, design: Design) -> list[ProfileRow]:
     """Likelihood of each member of the set, with masses normalized to sum to one.
 
-    Emitted in ascending defier count.  Masses come from exact assignment
-    counts, so they are immune to the rounding of the log values.
+    Emitted in ascending defier count.  Each member's exact assignment count
+    is computed once; masses come from those counts, so they are immune to
+    the rounding of the log values.
     """
     if fs.marginals.n != x.n:
         raise ValueError(f"data n={x.n} but Fréchet set n={fs.marginals.n}")
-    members = fs.members()
-    counts = [exact_assignment_count(theta, x) for theta in members]
+    check_design(x, design)
+    counts = [exact_assignment_count(theta, x) for theta in fs.members()]
     total = sum(counts)
     if total == 0:
         # No member can produce the data; report a flat zero profile.
-        masses = [0.0] * len(members)
+        masses = [0.0] * len(counts)
     else:
         masses = [float(Fraction(c, total)) for c in counts]
     return [
-        ProfileRow(d, log_likelihood(theta, x, design), mass)
-        for d, theta, mass in zip(fs.defier_range(), members, masses)
+        ProfileRow(d, _log_likelihood_of_count(count, x, design), mass)
+        for d, count, mass in zip(fs.defier_range(), counts, masses)
     ]
 
 

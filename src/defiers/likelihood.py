@@ -6,17 +6,16 @@ numbers of always takers assigned to intervention, of products of four
 binomial coefficients.  Both randomization designs share that sum; they differ
 only by a factor that does not depend on the type counts.
 
-Three routes to the same quantity are provided on purpose:
+Each use of the assignment count has one route:
 
-* exact integer sums (``exact_assignment_count``) for published counts and
-  tie confirmation,
-* float64 log values (``relative_log_likelihood`` / ``log_likelihood``) for
-  single evaluations,
-* a vectorized scan (``assignment_count_grid``) that fills the likelihood of
+* exact integer sums (``exact_assignment_count``) confirm: published counts,
+  tie confirmation and profile masses.  ``relative_log_likelihood`` and
+  ``log_likelihood`` are float64 logs of that exact count, not another route;
+* the float64 grid (``assignment_count_grid``) scans: it fills the count of
   every parameter vector at once by enumerating arm compositions instead of
-  parameter vectors, and
-* a brute-force oracle (``oracle_assignment_count``) that enumerates actual
-  randomized assignments, used to check the other routes.
+  parameter vectors;
+* the brute-force oracle (``oracle_assignment_count``) checks: it enumerates
+  actual randomized assignments, independently of the binomial sum.
 """
 from __future__ import annotations
 
@@ -136,9 +135,14 @@ def log_likelihood(theta: Theta, x: ExperimentData, design: Design) -> float:
     if theta.n != x.n:
         raise ValueError(f"data n={x.n} but theta n={theta.n}")
     check_design(x, design)
-    rel = relative_log_likelihood(theta, x)
-    if rel == LOG_ZERO:
+    return _log_likelihood_of_count(exact_assignment_count(theta, x), x, design)
+
+
+def _log_likelihood_of_count(count: int, x: ExperimentData, design: Design) -> float:
+    """ln P(X = x | theta) from theta's exact assignment count for x."""
+    if count == 0:
         return LOG_ZERO
+    rel = math.log(count)
     if isinstance(design, Bernoulli):
         p = design.p
         return rel + x.intervention_size * math.log(p) + x.control_size * math.log1p(-p)

@@ -1,5 +1,8 @@
 """Analysis orchestration and report/CSV/SVG emission.
 
+``analyze`` runs one configuration: every report holds the MLE, the estimate
+under monotonicity, the smallest credible set and the likelihood profile
+across the estimated Fréchet set, plus exact assignment counts on request.
 Reports are plain dataclasses with a deterministic JSON form: running the
 same analysis twice produces byte-identical output, including tie ordering.
 CSV numeric fields use 17-significant-digit formatting; SVG output is
@@ -50,8 +53,6 @@ class AnalysisRequest:
     design: Design
     data: ExperimentData
     credible_level: float = 0.95
-    with_frechet_profile: bool = True
-    with_monotonicity: bool = True
     exact_arithmetic: bool = False
 
     def __post_init__(self) -> None:
@@ -72,9 +73,9 @@ class AnalysisReport:
     absolute_defier_bounds: tuple[int, int]
     mle: MleResult
     credible: CredibleSummary
-    monotonicity: MleResult | None = None
-    profile: tuple[ProfileRow, ...] | None = None
-    profile_in_level: tuple[bool, ...] | None = None
+    monotonicity: MleResult
+    profile: tuple[ProfileRow, ...]
+    profile_in_level: tuple[bool, ...]
     exact_counts: tuple[str, ...] | None = None  # assignment counts of MLE ties
 
 
@@ -93,16 +94,13 @@ def analyze(
     fs = frechet_set(marginals)
     note(f"grid search over {x.n}-subject parameter space")
     mle_result = mle(x, design)
-    mono = monotonicity_mle(x, design) if request.with_monotonicity else None
+    mono = monotonicity_mle(x, design)
     note("posterior and smallest credible set")
     post = posterior(x, design, request.credible_level)
     credible = smallest_credible_set(post, request.credible_level)
-    rows = None
-    flags = None
-    if request.with_frechet_profile:
-        note("profile across the estimated Fréchet set")
-        rows = tuple(frechet_profile(fs, x, design))
-        flags = tuple(profile_level_flags(list(rows), request.credible_level))
+    note("profile across the estimated Fréchet set")
+    rows = frechet_profile(fs, x, design)
+    flags = profile_level_flags(rows, request.credible_level)
     exact = None
     if request.exact_arithmetic:
         from .likelihood import exact_assignment_count
@@ -121,8 +119,8 @@ def analyze(
         mle=mle_result,
         credible=credible,
         monotonicity=mono,
-        profile=rows,
-        profile_in_level=flags,
+        profile=tuple(rows),
+        profile_in_level=tuple(flags),
         exact_counts=exact,
     )
 
@@ -219,19 +217,14 @@ def render_text(report: AnalysisReport) -> str:
     if report.exact_counts is not None:
         for t, c in zip(report.mle.maximizers, report.exact_counts):
             lines.append(f"  exact assignment count of {t.counts()}: {c}")
-    if report.monotonicity is not None:
-        lines.append("")
-        lines.append("maximum likelihood under monotonicity (no defiers or no compliers):")
-        for t in report.monotonicity.maximizers:
-            lines.append(f"  {_theta_line(t, n)}")
-        if not report.monotonicity.tie_verified_exact:
-            lines.append("  maximizer tie not confirmed exactly")
-        same = set(report.monotonicity.maximizers) == set(report.mle.maximizers)
-        lines.append(
-            "  matches the unrestricted estimate"
-            if same
-            else "  differs from the unrestricted estimate"
-        )
+    mono = report.monotonicity
+    lines += ["", "maximum likelihood under monotonicity (no defiers or no compliers):"]
+    for t in mono.maximizers:
+        lines.append(f"  {_theta_line(t, n)}")
+    if not mono.tie_verified_exact:
+        lines.append("  maximizer tie not confirmed exactly")
+    same = set(mono.maximizers) == set(report.mle.maximizers)
+    lines.append(f"  {'matches' if same else 'differs from'} the unrestricted estimate")
     c = report.credible
     lines += [
         "",
@@ -244,14 +237,12 @@ def render_text(report: AnalysisReport) -> str:
         f"  never takers range:  {c.nt_range[0]}...{c.nt_range[1]}",
         "  note: the four per-type ranges come from one joint credible set and are",
         "  dependent; the type counts must sum to the sample size.",
+        "",
+        "likelihood profile across the estimated Fréchet set:",
     ]
-    if report.profile is not None:
-        lines += ["", "likelihood profile across the estimated Fréchet set:"]
-        for row, inside in zip(report.profile, report.profile_in_level or ()):
-            mark = "" if inside else " (outside level set)"
-            lines.append(
-                f"  defiers {row.defiers:4d}: mass {row.mass:.6f}{mark}"
-            )
+    for row, inside in zip(report.profile, report.profile_in_level):
+        mark = "" if inside else " (outside level set)"
+        lines.append(f"  defiers {row.defiers:4d}: mass {row.mass:.6f}{mark}")
     return "\n".join(lines) + "\n"
 
 

@@ -53,6 +53,18 @@ def test_analyze_flags_input(tmp_path, capsys):
     assert report["n"] == 6
 
 
+@pytest.mark.parametrize("flag", ["--no-profile", "--no-monotonicity"])
+def test_analyze_has_no_skip_flags(tmp_path, capsys, flag):
+    # analyze runs one configuration: every report holds the monotone MLE
+    # and the Fréchet profile
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--input", write_input(tmp_path, SIX_DOC), flag])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"defiers: error: unrecognized arguments: {flag}\n")
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_analyze_deterministic_bytes(tmp_path, capsys):
     path = write_input(tmp_path, SIX_DOC)
     outputs = []

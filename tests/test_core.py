@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from defiers.core import (
-    ArmSplit,
     Bernoulli,
     CompletelyRandomized,
     ExperimentData,
     Theta,
     ThetaIndex,
-    data_from_split,
     enumerate_thetas,
     theta_count,
     theta_index,
@@ -80,32 +78,6 @@ def test_enumerate_thetas_count_and_uniqueness(n):
     assert keys == sorted(keys, reverse=True)
 
 
-def test_data_from_split_examples():
-    # four compliers and two defiers, half of each assigned to intervention
-    x = data_from_split(Theta(0, 4, 2, 0), ArmSplit(0, 2, 1, 0))
-    assert x == ExperimentData(2, 1, 1, 2)
-    x = data_from_split(Theta(2, 2, 0, 2), ArmSplit(1, 1, 0, 1))
-    assert x == ExperimentData(2, 1, 1, 2)
-    # all always takers
-    n, m = 9, 4
-    x = data_from_split(Theta(n, 0, 0, 0), ArmSplit(m, 0, 0, 0))
-    assert x == ExperimentData(m, 0, n - m, 0)
-    with pytest.raises(ValueError):
-        data_from_split(Theta(1, 0, 0, 0), ArmSplit(2, 0, 0, 0))
-
-
-def test_data_from_split_conserves_n():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        n = int(rng.integers(1, 12))
-        parts = rng.multinomial(n, [0.25] * 4)
-        theta = Theta(*map(int, parts))
-        split = ArmSplit(*(int(rng.integers(0, c + 1)) for c in theta.counts()))
-        x = data_from_split(theta, split)
-        assert x.n == n
-        assert min(x.counts()) >= 0
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 23, 40])
 def test_theta_index_roundtrip_exhaustive(n):
     index = ThetaIndex(n)
@@ -126,4 +98,5 @@ def test_theta_index_spot_large():
     at, co, de, nt = index.components(flat)
     assert np.all(at >= 0) and np.all(co >= 0) and np.all(de >= 0) and np.all(nt >= 0)
     assert np.array_equal(index.flatten(at, co, de), flat)
-    assert index.flat(index.theta(12345)) == 12345
+    at, co, de, nt = index.components(12345)
+    assert index.flat(Theta(int(at), int(co), int(de), int(nt))) == 12345

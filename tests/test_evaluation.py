@@ -23,6 +23,7 @@ from defiers.likelihood import (
 )
 from defiers import evaluation
 from defiers.frechet import estimate_marginals, frechet_set
+from defiers.inference import _thetas_from_flat
 from defiers.evaluation import (
     FRECHET_RULE,
     MAX_LIKELIHOOD_RULE,
@@ -31,7 +32,6 @@ from defiers.evaluation import (
     bayes_expected_utility,
     custom_rule,
     defier_region_check,
-    expected_utility,
     fisher_exact_p,
     heatmap,
     heatmap_symmetry_counterexamples,
@@ -75,6 +75,11 @@ def oracle_frechet_decide(m, n):
         return [(t, Fraction(1, len(members))) for t in members]
 
     return decide
+
+
+def expected_utility(rule, theta, design):
+    """Probability that the rule guesses ``theta`` when ``theta`` is the truth."""
+    return rule_eu_vectors([rule], theta.n, design)[0][theta_index(theta.n).flat(theta)]
 
 
 def test_expected_utility_examples():
@@ -282,25 +287,24 @@ def test_decision_rule_decide_surface():
     x = ExperimentData(2, 1, 1, 2)
     design = CompletelyRandomized(3, 6)
     grid = assignment_count_grid(x)
-    index = theta_index(6)
     flat, weight = MAX_LIKELIHOOD_RULE(grid, x, design)
-    assert [index.theta(int(f)) for f in flat] == [Theta(0, 4, 2, 0)]
+    assert _thetas_from_flat(6, flat) == (Theta(0, 4, 2, 0),)
     assert weight == 1.0
     flat, weight = FRECHET_RULE(grid, x, design)
     assert weight == pytest.approx(1 / 3)
-    assert [index.theta(int(f)) for f in flat] == [
+    assert _thetas_from_flat(6, flat) == (
         Theta(2, 2, 0, 2),
         Theta(1, 3, 1, 1),
         Theta(0, 4, 2, 0),
-    ]
+    )
     guesses = [(Theta(1, 3, 1, 1), 0.25), (Theta(0, 4, 2, 0), 0.75)]
     flat, weight = custom_rule(lambda x, design: guesses)(grid, x, design)
-    assert [index.theta(int(f)) for f in flat] == [t for t, _ in guesses]
+    assert list(_thetas_from_flat(6, flat)) == [t for t, _ in guesses]
     assert list(weight) == [0.25, 0.75]
     # full takeup in both arms: the set holds only the all-always-taker vector
     x = ExperimentData(3, 0, 5, 0)
     flat, weight = FRECHET_RULE(assignment_count_grid(x), x, CompletelyRandomized(3, 8))
-    assert [theta_index(8).theta(int(f)) for f in flat] == [Theta(8, 0, 0, 0)]
+    assert _thetas_from_flat(8, flat) == (Theta(8, 0, 0, 0),)
     assert weight == 1.0
 
 

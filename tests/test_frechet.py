@@ -11,6 +11,7 @@ from defiers.core import (
     Theta,
     enumerate_thetas,
 )
+from defiers import frechet, likelihood
 from defiers.frechet import (
     Marginals,
     estimate_marginals,
@@ -20,6 +21,7 @@ from defiers.frechet import (
     profile_level_flags,
     theta_at_defiers,
 )
+from defiers.likelihood import log_likelihood
 
 ORGAN_X = ExperimentData(50, 11, 23, 31)
 ORGAN_CR = CompletelyRandomized(61, 115)
@@ -120,6 +122,34 @@ def test_profile_organ_donation_exclusions():
     flags = profile_level_flags(rows, 0.95)
     assert [r.defiers for r, f in zip(rows, flags) if not f] == [8, 9]
     assert sum(r.mass for r in rows) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "x, design",
+    [
+        (ORGAN_X, ORGAN_CR),
+        (ExperimentData(3, 3, 2, 4), Bernoulli(0.5)),
+        (ExperimentData(3, 3, 2, 4), Bernoulli(0.3)),  # every member counts 0
+    ],
+)
+def test_profile_counts_each_member_once(monkeypatch, x, design):
+    counted = []
+
+    def counting(theta, data):
+        counted.append(theta)
+        return exact_count(theta, data)
+
+    # the profile's own calls and any through the scalar likelihood route
+    exact_count = likelihood.exact_assignment_count
+    monkeypatch.setattr(frechet, "exact_assignment_count", counting)
+    monkeypatch.setattr(likelihood, "exact_assignment_count", counting)
+    fs = frechet_set(estimate_marginals(x, design))
+    rows = frechet_profile(fs, x, design)
+    assert counted == fs.members()
+    # the log values are the scalar route's, bit for bit
+    assert [r.log_likelihood for r in rows] == [
+        log_likelihood(theta, x, design) for theta in fs.members()
+    ]
 
 
 def test_profile_degenerate_single_member():

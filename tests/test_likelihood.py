@@ -19,6 +19,7 @@ from defiers.core import (
     theta_index,
 )
 from defiers.combinatorics import LOG_ZERO
+from defiers.inference import _thetas_from_flat
 from defiers.likelihood import (
     GRID_MAX_N,
     PopulationShares,
@@ -284,8 +285,7 @@ def test_grid_total_is_partition_of_assignments():
     index = theta_index(x.n)
     rng = np.random.default_rng(5)
     flats = rng.integers(0, index.size, size=50)
-    for f in flats:
-        theta = index.theta(int(f))
+    for f, theta in zip(flats, _thetas_from_flat(x.n, flats)):
         assert grid[int(f)] == float(exact_assignment_count(theta, x))
 
 
@@ -347,20 +347,6 @@ def test_exact_fraction_of_assignments():
     # exact CR likelihood as a fraction: count over C(n, m)
     count = exact_assignment_count(Theta(0, 4, 2, 0), SIX)
     assert Fraction(count, math.comb(6, 3)) == Fraction(3, 5)
-
-
-def test_split_roundtrip_in_index_set():
-    # any split that produced the data is a feasible index value for it
-    from defiers.core import ArmSplit, data_from_split
-
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        n = int(rng.integers(1, 14))
-        parts = rng.multinomial(n, [0.25] * 4)
-        theta = Theta(*map(int, parts))
-        split = ArmSplit(*(int(rng.integers(0, c + 1)) for c in theta.counts()))
-        x = data_from_split(theta, split)
-        assert split.at_i in index_set(x, theta)
 
 
 def test_grid_budget_guard():

@@ -53,9 +53,6 @@ GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = {
     "six_person_exact": AnalysisRequest(design=CR6, data=SIX, exact_arithmetic=True),
     "organ_donation": AnalysisRequest(design=ORGAN_CR, data=ORGAN),
-    "organ_donation_no_profile_no_monotonicity": AnalysisRequest(
-        design=ORGAN_CR, data=ORGAN, with_frechet_profile=False, with_monotonicity=False
-    ),
     "bernoulli_half": AnalysisRequest(design=Bernoulli(0.5), data=ExperimentData(3, 3, 2, 4)),
 }
 
