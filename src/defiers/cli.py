@@ -6,7 +6,8 @@ under monotonicity, the smallest credible set and the Fréchet profile;
 ``--level`` sets the credible level and ``--exact`` adds exact assignment
 counts.  Exit codes: 0 success, 2 input error, 3 size-guard refusal.
 Subcommands raise; ``main`` alone maps a ``BudgetExceededError`` to 3 and any
-other ``ValueError`` to 2.  Progress goes to stderr unless --quiet.
+other ``ValueError`` to 2.  Progress goes to stderr unless --quiet; oracle
+and monty write no file and print only their result.
 """
 from __future__ import annotations
 
@@ -253,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_compare_rules)
 
     p = sub.add_parser("oracle", help="assignment tally for a known joint distribution")
-    _add_common(p)
     p.add_argument("--at", type=int, required=True, help="always takers")
     p.add_argument("--co", type=int, required=True, help="compliers")
     p.add_argument("--de", type=int, required=True, help="defiers")
@@ -262,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("monty", help="three-door reveal demonstration")
-    _add_common(p)
     p.set_defaults(fn=_cmd_monty)
 
     return parser

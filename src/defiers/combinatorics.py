@@ -15,11 +15,6 @@ import numpy as np
 
 LOG_ZERO = float("-inf")
 
-# Relative tolerance on log-likelihood values below which two candidates are
-# treated as a suspected tie; suspected ties are confirmed exactly before
-# being reported as ties.
-LOG_TIE_RTOL = 1e-9
-
 
 def exact_binomial(n: int, k: int) -> int:
     """Exact binomial coefficient; out-of-range k gives 0."""
@@ -61,8 +56,3 @@ def choose_table(n: int) -> np.ndarray:
         row = [1, *map(operator.add, row[1:], row), 1]
     table.setflags(write=False)
     return table
-
-
-def log_tie_cutoff(log_max: float) -> float:
-    """Log-likelihood threshold below the maximum for suspected-tie candidates."""
-    return log_max - LOG_TIE_RTOL * max(1.0, abs(log_max))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator
 
 import numpy as np
@@ -161,13 +160,6 @@ def check_design(x: ExperimentData, design: Design) -> None:
             raise DesignInconsistencyError(
                 f"design m={design.m} but intervention arm has {x.intervention_size}"
             )
-
-
-def theta_count(n: int) -> int:
-    """Number of four-part compositions of n: C(n+3, 3)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return comb(n + 3, 3)
 
 
 def enumerate_thetas(n: int) -> Iterator[Theta]:

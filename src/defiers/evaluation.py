@@ -10,6 +10,7 @@ rounding.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,7 +24,7 @@ from .core import (
     Theta,
     theta_index,
 )
-from .likelihood import assignment_count_grid
+from .likelihood import _log_likelihood_of_count, assignment_count_grid
 from .inference import _argmax_ties, _thetas_from_flat
 from .frechet import estimate_marginals, frechet_set
 
@@ -34,9 +35,6 @@ BAYES_MAX_N_BERNOULLI = 24
 
 # Heatmaps beyond this size run only when explicitly forced.
 HEATMAP_MAX_N = 60
-
-FISHER_SLACK = 1e-7
-
 
 WeightedGuess = Sequence[tuple[Theta, float]]
 
@@ -113,15 +111,6 @@ def _data_space(n: int, design: Design) -> list[ExperimentData]:
     ]
 
 
-def _design_log_constant(x: ExperimentData, design: Design) -> float:
-    """Per-realization factor turning assignment counts into probabilities."""
-    if isinstance(design, CompletelyRandomized):
-        return -math.log(math.comb(design.n, design.m))
-    return x.intervention_size * math.log(design.p) + x.control_size * math.log1p(
-        -design.p
-    )
-
-
 def _check_bayes_budget(n: int, design: Design) -> None:
     if isinstance(design, CompletelyRandomized) and design.n != n:
         raise ValueError(f"design n={design.n} does not match requested n={n}")
@@ -156,7 +145,7 @@ def rule_eu_vectors(
 
     def column(x: ExperimentData) -> list[tuple[np.ndarray, np.ndarray]]:
         box = assignment_count_grid(x)
-        scale = math.exp(_design_log_constant(x, design))
+        scale = math.exp(_log_likelihood_of_count(1, x, design))  # P(one assignment)
         parts = []
         for rule in rules:
             flat, weight = rule(box, x, design)
@@ -225,8 +214,9 @@ def fisher_exact_p(x: ExperimentData) -> float:
 
     Probability-mass method: with both margins fixed, sum the hypergeometric
     probabilities of every table whose probability is at most that of the
-    observed table, with a small relative slack so equal-probability tables
-    are included despite float rounding.
+    observed table.  The weights are exact integers, so tables of equal
+    probability compare equal; only the final ratio is rounded, which needs
+    C(n, i1 + c1) within float64 range (n <= 1029 always is).
     """
     n = x.n
     m = x.intervention_size
@@ -234,10 +224,15 @@ def fisher_exact_p(x: ExperimentData) -> float:
     lo = max(0, takers - (n - m))
     hi = min(m, takers)
     weights = [math.comb(m, k) * math.comb(n - m, takers - k) for k in range(lo, hi + 1)]
+    total = sum(weights)  # C(n, takers)
+    if total > sys.float_info.max:
+        raise BudgetExceededError(
+            f"Fisher's exact test needs C({n}, {takers}) within float64 range; "
+            f"it exceeds the float64 maximum {sys.float_info.max:.6g}"
+        )
     observed = weights[x.i1 - lo]
-    cutoff = observed * (1.0 + FISHER_SLACK)
-    included = sum(w for w in weights if w <= cutoff)
-    return float(included) / float(sum(weights))
+    included = sum(w for w in weights if w <= observed)
+    return float(included) / float(total)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ with fixed margins.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -50,10 +51,6 @@ class FrechetSet:
 
     def members(self) -> list[Theta]:
         return [theta_at_defiers(self, d) for d in self.defier_range()]
-
-
-def marginals_of(theta: Theta) -> Marginals:
-    return Marginals(m1=theta.at + theta.co, mc=theta.at + theta.de, n=theta.n)
 
 
 def _round_half_away(value: Fraction) -> int:
@@ -145,21 +142,12 @@ def profile_level_flags(rows: list[ProfileRow], level: float = 0.95) -> list[boo
     order = sorted(range(len(rows)), key=lambda i: (-rows[i].mass, rows[i].defiers))
     included = [False] * len(rows)
     cum = 0.0
-    pos = 0
-    first_block = True
-    while pos < len(order):
-        block = [order[pos]]
-        pos += 1
-        while pos < len(order) and rows[order[pos]].mass == rows[block[0]].mass:
-            block.append(order[pos])
-            pos += 1
+    for rank, (_, block) in enumerate(itertools.groupby(order, key=lambda i: rows[i].mass)):
+        block = list(block)
         block_mass = sum(rows[i].mass for i in block)
-        if not first_block and cum + block_mass > level:
+        if rank > 0 and cum + block_mass > level:
             break
         for i in block:
             included[i] = True
         cum += block_mass
-        first_block = False
-        if cum > level:
-            break
     return included

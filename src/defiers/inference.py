@@ -14,6 +14,7 @@ level or any lower one.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,8 +27,8 @@ from .core import (
     check_design,
     theta_index,
 )
-from .combinatorics import log_tie_cutoff
 from .likelihood import (
+    GRID_TIE_BOUND,
     assignment_count_grid,
     exact_assignment_count,
     log_likelihood,
@@ -64,8 +65,14 @@ class MleResult:
         return self.maximizers[0]
 
 
-def _exact_counts(flat: np.ndarray, x: ExperimentData) -> list[int]:
-    return [exact_assignment_count(t, x) for t in _thetas_from_flat(x.n, flat)]
+def _exact_counts(
+    at: np.ndarray, co: np.ndarray, de: np.ndarray, x: ExperimentData
+) -> list[int]:
+    """Exact assignment counts of the vectors at box coordinates (at, co, de)."""
+    return [
+        exact_assignment_count(Theta(a, c, d, x.n - a - c - d), x)
+        for a, c, d in zip(at.tolist(), co.tolist(), de.tolist())
+    ]
 
 
 def _argmax_ties(
@@ -81,7 +88,8 @@ def _argmax_ties(
     top = float(max(part.max() for part in parts))
     if top <= 0.0:
         raise AssertionError("likelihood is zero everywhere; data inconsistent")
-    cutoff = math.exp(log_tie_cutoff(math.log(top)))
+    # every exact maximizer lies within the fill's rounding-error bound of top
+    cutoff = top * (1.0 - GRID_TIE_BOUND)
     near = [np.unravel_index(np.flatnonzero(p >= cutoff), p.shape) for p in parts]
     at, co, de = (np.concatenate(axis) for axis in zip(*near))
     flat, first = np.unique(theta_index(x.n).flatten(at, co, de), return_index=True)
@@ -90,7 +98,7 @@ def _argmax_ties(
     if flat.size > EXACT_TIE_CAP:
         # Too many suspects for exact confirmation: keep bit-equal maxima.
         return flat[box[at, co, de][first] == top], False
-    counts = _exact_counts(flat, x)
+    counts = _exact_counts(at[first], co[first], de[first], x)
     best = max(counts)
     return flat[np.asarray([c == best for c in counts])], True
 
@@ -207,40 +215,33 @@ class CredibleSummary:
     co_range: tuple[int, int]
     de_range: tuple[int, int]
     nt_range: tuple[int, int]
+    boundary_verified_exact: bool
 
 
 def _boundary_members(
-    post: PosteriorTable, run_start: int, run_end: int, k: int, level: float, pre_mass: float
-) -> np.ndarray:
+    post: PosteriorTable, run: np.ndarray, level: float, pre_mass: float
+) -> tuple[np.ndarray, bool]:
     """Entries of the boundary float-tie run that belong in the credible set.
 
     Float masses that compare equal can hide exactly distinct counts, so the
     run is re-ordered by exact count (descending, canonical within blocks) and
-    whole equal-count blocks are admitted until the level is reached.
+    whole equal-count blocks are admitted until the level is reached.  A run
+    longer than ``EXACT_TIE_CAP`` is taken whole, unconfirmed.
     """
-    run = np.arange(run_start, run_end + 1)
     if run.size > EXACT_TIE_CAP:
-        return run  # accept the whole float block; conservative and deterministic
-    flat = theta_index(post.n).flatten(
-        post.at[run].astype(np.int64),
-        post.co[run].astype(np.int64),
-        post.de[run].astype(np.int64),
-    )
-    counts = _exact_counts(flat, post.x)
-    order = sorted(range(run.size), key=lambda i: (-counts[i], flat[i]))
-    v = float(post.mass[k])
+        return run, False
+    counts = _exact_counts(post.at[run], post.co[run], post.de[run], post.x)
+    # the run is in canonical order, so a stable sort keeps it within blocks
+    order = sorted(range(run.size), key=lambda i: -counts[i])
+    v = float(post.mass[run[0]])
     taken: list[int] = []
-    acc = pre_mass
-    pos = 0
-    while pos < run.size and acc < level:
-        block = [order[pos]]
-        pos += 1
-        while pos < run.size and counts[order[pos]] == counts[block[0]]:
-            block.append(order[pos])
-            pos += 1
-        taken.extend(block)
-        acc += v * len(block)
-    return run[np.asarray(taken, dtype=np.int64)]
+    for _, block in itertools.groupby(order, key=counts.__getitem__):
+        if pre_mass >= level:
+            break
+        block = list(block)
+        taken += block
+        pre_mass += v * len(block)
+    return run[taken], True
 
 
 def smallest_credible_set(post: PosteriorTable, level: float) -> CredibleSummary:
@@ -253,18 +254,17 @@ def smallest_credible_set(post: PosteriorTable, level: float) -> CredibleSummary
         raise ValueError(f"level must be in (0,{post.level}], the table's level; got {level}")
     mass = post.mass
     cum = np.cumsum(mass)
-    k = int(np.searchsorted(cum, level, side="left"))
-    if k >= mass.size:
-        k = mass.size - 1
+    k = min(int(np.searchsorted(cum, level, side="left")), mass.size - 1)
     v = mass[k]
     # Bit-equal float run containing the crossing entry.
     run_start = int(np.searchsorted(-mass, -v, side="left"))
     run_end = int(np.searchsorted(-mass, -v, side="right")) - 1
     pre_mass = float(cum[run_start - 1]) if run_start > 0 else 0.0
     if run_start == run_end:
-        boundary = np.arange(run_start, k + 1)
+        boundary, verified = np.arange(run_start, k + 1), True
     else:
-        boundary = _boundary_members(post, run_start, run_end, k, level, pre_mass)
+        run = np.arange(run_start, run_end + 1)
+        boundary, verified = _boundary_members(post, run, level, pre_mass)
     idx = np.concatenate((np.arange(run_start), boundary))
     achieved = pre_mass + float(v) * boundary.size
     at = post.at[idx]
@@ -279,4 +279,5 @@ def smallest_credible_set(post: PosteriorTable, level: float) -> CredibleSummary
         co_range=(int(co.min()), int(co.max())),
         de_range=(int(de.min()), int(de.max())),
         nt_range=(int(nt.min()), int(nt.max())),
+        boundary_verified_exact=verified,
     )

@@ -45,10 +45,20 @@ ORACLE_MAX_N = 20
 # largest box, about n**3/4 cells = 1.5 C(n+3, 3): 57.8M (0.46 GB) at n=612 and
 # 251M (2.01 GB) at the cap below (canonical: 1.34 GB).  The cap also keeps sums
 # in float64 range: each entry is at most C(n, n//2), so the grid sum is at most
-# theta_count(n) * C(n, n//2), 10^307.66 at n=1000; the bound first exceeds the
+# C(n+3, 3) * C(n, n//2), 10^307.66 at n=1000; the bound first exceeds the
 # float64 maximum (10^308.25) at n=1002.  Fill scratch beside the box is small:
 # 256 KB of products and ``head``, (i1+1)(c0+1)(c1+1) cells (4.2 MB at n=612).
 GRID_MAX_N = 1000
+
+# Relative gap within which two box cells may hold equal exact counts, for any
+# n <= GRID_MAX_N.  A cell is a running sum of at most i1+1 <= n+1 positive
+# products; each carries 7 roundings (four correctly rounded ``choose_table``
+# entries, three multiplications) and at most n from the sum, so the cell's
+# relative error is at most gamma = (n+7)u / (1 - (n+7)u), u = 2**-53 (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, 3.1 and 4.2).
+# Equal counts thus differ by at most 2 gamma / (1 - gamma), and 2u more covers
+# the rounding of ``top * (1 - GRID_TIE_BOUND)``: 2.2382e-13 at n = 1000.
+GRID_TIE_BOUND = 2.24e-13
 
 # Cells of one block of the fill's products (256 KB), so that the block and the
 # box cells it adds onto stay in a 2 MB L2 cache while every a_i passes them.

@@ -158,6 +158,8 @@ def report_to_json(report: AnalysisReport) -> str:
     doc = _plain(report)
     doc["design"] = design_to_dict(report.design)
     doc["marginals"] = {"m1": report.marginals[0], "mc": report.marginals[1]}
+    if report.credible.boundary_verified_exact:  # only false is emitted; confirmed bytes stay
+        del doc["credible"]["boundary_verified_exact"]
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -230,6 +232,7 @@ def render_text(report: AnalysisReport) -> str:
         "",
         f"smallest {_pct(c.level)} credible set: {c.member_count} members, "
         f"mass {c.achieved_mass:.6f}",
+        *([] if c.boundary_verified_exact else ["  credible boundary not confirmed exactly"]),
         f"  always takers range: {c.at_range[0]}...{c.at_range[1]}",
         f"  compliers range:     {c.co_range[0]}...{c.co_range[1]}",
         f"  defiers range:       {c.de_range[0]}...{c.de_range[1]} "

@@ -212,8 +212,7 @@ def test_compare_rules_budget(tmp_path, capsys):
 
 def test_oracle_cmd(capsys):
     code, out, _ = run(
-        capsys, "oracle", "--at", "0", "--co", "4", "--de", "2", "--nt", "0",
-        "--m", "3", "--quiet",
+        capsys, "oracle", "--at", "0", "--co", "4", "--de", "2", "--nt", "0", "--m", "3"
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -223,10 +222,23 @@ def test_oracle_cmd(capsys):
     assert lines[-1].startswith("total,,,,20,")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["oracle", "--at", "0", "--co", "4", "--de", "2", "--nt", "0", "--m", "3"], ["monty"]],
+    ids=["oracle", "monty"],
+)
+@pytest.mark.parametrize("flag", [["--quiet"], ["--out-dir", "."]], ids=["quiet", "out-dir"])
+def test_print_only_commands_take_no_file_flags(capsys, command, flag):
+    # oracle and monty write no file and print only their result
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *flag])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"unrecognized arguments: {' '.join(flag)}\n")
+
+
 def test_oracle_budget(capsys):
     code, _, _ = run(
-        capsys, "oracle", "--at", "25", "--co", "0", "--de", "0", "--nt", "0",
-        "--m", "12", "--quiet",
+        capsys, "oracle", "--at", "25", "--co", "0", "--de", "0", "--nt", "0", "--m", "12"
     )
     assert code == 3
 
@@ -264,7 +276,7 @@ COUNTS = ["--i1", "1", "--i0", "1", "--c1", "1", "--c0", "1"]
             "ExperimentData counts must be non-negative, got -1",
         ),
         (
-            ["analyze", *COUNTS, "--m", "2", "--out-dir", "{tmp}/input.json"],
+            ["analyze", *COUNTS, "--m", "2", "--out-dir", "{tmp}/input.json", "--quiet"],
             2,
             "cannot write report.json: [Errno 17] File exists: '{tmp}/input.json'",
         ),
@@ -290,7 +302,7 @@ COUNTS = ["--i1", "1", "--i0", "1", "--c1", "1", "--c0", "1"]
 def test_error_exit_table(tmp_path, capsys, argv, code, line):
     write_input(tmp_path, SIX_DOC)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    got, out, err = run(capsys, *argv, "--quiet")
+    got, out, err = run(capsys, *argv)
     assert got == code
     assert out == ""
     assert err == f"error: {line.format(tmp=tmp_path)}\n"
@@ -299,7 +311,7 @@ def test_error_exit_table(tmp_path, capsys, argv, code, line):
 def test_monty_cmd(capsys):
     from fractions import Fraction
 
-    code, out, _ = run(capsys, "monty", "--quiet")
+    code, out, _ = run(capsys, "monty")
     assert code == 0
     line = out.strip()
     assert line == "car-absent: 1/2, car-present: 1, decision: switch"
@@ -313,11 +325,11 @@ def test_monty_cmd(capsys):
     "argv, code",
     [(["monty"], 0), (["heatmap", "--n", "100", "--m", "50", "--quiet"], 3)],
 )
-def test_module_entry_point_exit_codes(tmp_path, argv, code):
+def test_module_entry_point_exit_codes(argv, code):
     # `python -m defiers.cli` hands main's return value to the process exit
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-m", "defiers.cli", *argv, "--out-dir", str(tmp_path)],
+        [sys.executable, "-m", "defiers.cli", *argv],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,

@@ -17,6 +17,7 @@ from defiers.core import (
     theta_index,
 )
 from defiers.likelihood import (
+    _log_likelihood_of_count,
     assignment_count_grid,
     oracle_assignment_count,
     oracle_data_distribution,
@@ -395,7 +396,7 @@ def reference_rule_eu_vectors(n, design):
     vectors = [np.zeros(index.size) for _ in range(3)]
     for x in evaluation._data_space(n, design):
         grid = reference_grid(x)
-        scale = math.exp(evaluation._design_log_constant(x, design))
+        scale = math.exp(_log_likelihood_of_count(1, x, design))
         mle_flat = np.flatnonzero(grid == grid.max())
         mono_flat = np.flatnonzero(monotone & (grid == grid[monotone].max()))
         guesses = (

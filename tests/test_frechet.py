@@ -17,7 +17,6 @@ from defiers.frechet import (
     estimate_marginals,
     frechet_profile,
     frechet_set,
-    marginals_of,
     profile_level_flags,
     theta_at_defiers,
 )
@@ -25,12 +24,6 @@ from defiers.likelihood import log_likelihood
 
 ORGAN_X = ExperimentData(50, 11, 23, 31)
 ORGAN_CR = CompletelyRandomized(61, 115)
-
-
-def test_marginals_of():
-    assert marginals_of(Theta(28, 66, 21, 0)) == Marginals(94, 49, 115)
-    assert marginals_of(Theta(0, 0, 0, 9)) == Marginals(0, 0, 9)
-    assert marginals_of(Theta(2, 2, 0, 2)) == Marginals(4, 2, 6)
 
 
 def test_estimate_marginals_organ_donation():
@@ -98,10 +91,11 @@ def test_theta_at_defiers_examples():
 
 def test_marginals_roundtrip():
     for theta in enumerate_thetas(8):
-        fs = frechet_set(marginals_of(theta))
+        fs = frechet_set(Marginals(theta.at + theta.co, theta.at + theta.de, theta.n))
         assert theta_at_defiers(fs, theta.de) == theta
         for d in fs.defier_range():
-            assert marginals_of(theta_at_defiers(fs, d)) == fs.marginals
+            t = theta_at_defiers(fs, d)
+            assert Marginals(t.at + t.co, t.at + t.de, t.n) == fs.marginals
 
 
 def test_profile_six_person():

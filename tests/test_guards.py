@@ -5,16 +5,16 @@ import pytest
 from defiers.combinatorics import choose_table, log_binomial
 from defiers.core import (
     MAX_N,
+    BudgetExceededError,
     CompletelyRandomized,
     DegenerateDataError,
     ExperimentData,
     Theta,
     ThetaIndex,
     enumerate_thetas,
-    theta_count,
     theta_index,
 )
-from defiers.evaluation import MAX_LIKELIHOOD_RULE, bayes_expected_utility
+from defiers.evaluation import MAX_LIKELIHOOD_RULE, bayes_expected_utility, fisher_exact_p
 from defiers.frechet import Marginals, frechet_profile, frechet_set, profile_level_flags
 from defiers.inference import _argmax_ties
 from defiers.likelihood import log_likelihood, oracle_assignment_count
@@ -39,7 +39,6 @@ GUARDS = {
         DegenerateDataError,
         "average effect needs both arms non-empty",
     ),
-    "theta_count": (lambda: theta_count(-1), ValueError, "n must be non-negative"),
     "enumerate_thetas negative": (
         lambda: next(enumerate_thetas(-1)), ValueError, "n must be non-negative",
     ),
@@ -58,6 +57,12 @@ GUARDS = {
         lambda: bayes_expected_utility(MAX_LIKELIHOOD_RULE, 4, CompletelyRandomized(3, 6)),
         ValueError,
         "design n=6 does not match requested n=4",
+    ),
+    "fisher_exact_p": (  # C(n, n//2) first exceeds float64 at n=1030
+        lambda: fisher_exact_p(ExperimentData(258, 258, 258, 258)),
+        BudgetExceededError,
+        "Fisher's exact test needs C(1032, 516) within float64 range; "
+        "it exceeds the float64 maximum 1.79769e+308",
     ),
     "Marginals m1": (
         lambda: Marginals(5, 0, 4), ValueError, "need 0 <= m1 <= n, got m1=5, n=4",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,13 +11,17 @@ from defiers.core import (
     ExperimentData,
     Theta,
     enumerate_thetas,
-    theta_count,
     theta_index,
 )
-from defiers.likelihood import assignment_count_grid, oracle_assignment_count
+from defiers.likelihood import (
+    assignment_count_grid,
+    exact_assignment_count,
+    oracle_assignment_count,
+)
 from defiers.inference import (
     FULL_TABLE_MAX_N,
     PosteriorTable,
+    _argmax_ties,
     mle,
     monotonicity_mle,
     posterior,
@@ -119,7 +124,7 @@ def test_posterior_holds_only_the_top_block():
     # level's table extends a lower one's
     low = posterior(SIX, CR6, 0.5)
     high = posterior(SIX, CR6, 0.99)
-    assert 0 < low.entry_count < high.entry_count < theta_count(6)
+    assert 0 < low.entry_count < high.entry_count < math.comb(6 + 3, 3)
     assert np.array_equal(high.mass[: low.entry_count], low.mass)
     assert np.array_equal(high.de[: low.entry_count], low.de)
     assert low.mass[-1] > high.mass[low.entry_count]
@@ -375,7 +380,7 @@ def test_unconfirmed_fallback_keeps_only_the_bit_equal_maxima(monkeypatch):
     x, design = ExperimentData(2, 1, 1, 3), CompletelyRandomized(3, 7)
     want = mle(x, design).maximizers, monotonicity_mle(x, design).maximizers
     monkeypatch.setattr(inference, "EXACT_TIE_CAP", 1)
-    monkeypatch.setattr(inference, "log_tie_cutoff", lambda log_max: log_max - 5.0)
+    monkeypatch.setattr(inference, "GRID_TIE_BOUND", 1.0 - math.exp(-5.0))
     for result, maximizers in zip((mle(x, design), monotonicity_mle(x, design)), want):
         assert result.maximizers == maximizers
         assert not result.tie_verified_exact
@@ -394,5 +399,66 @@ def test_credible_boundary_run_above_the_cap_is_taken_whole(monkeypatch):
     monkeypatch.setattr(inference, "EXACT_TIE_CAP", 1)
     monkeypatch.setattr(inference, "_exact_counts", no_exact_counts)
     summary = smallest_credible_set(post, level)
-    assert summary == confirmed
+    assert confirmed.boundary_verified_exact
+    assert summary == dataclasses.replace(confirmed, boundary_verified_exact=False)
     assert summary.member_count == post.entry_count == 41
+
+
+def test_credible_boundary_run_above_the_cap_on_real_input():
+    # with no one assigned to intervention, all 10,201 vectors with at + de = 100
+    # produce the data in the one assignment, so the boundary run is all of them
+    x = ExperimentData(0, 0, 100, 100)
+    summary = smallest_credible_set(posterior(x, CompletelyRandomized(0, 200), 0.95), 0.95)
+    assert summary.member_count == 10_201
+    assert not summary.boundary_verified_exact
+
+
+def test_unconfirmed_credible_boundary_reaches_both_reports(monkeypatch):
+    # the six-person boundary run holds several entries; with the cap at one
+    # it is taken whole, while the unique MLE stays confirmed
+    request = AnalysisRequest(design=CR6, data=SIX)
+    confirmed = analyze(request)
+    assert "boundary_verified_exact" not in report_to_json(confirmed)
+    assert "not confirmed" not in render_text(confirmed)
+    monkeypatch.setattr(inference, "EXACT_TIE_CAP", 1)
+    report = analyze(request)
+    assert not report.credible.boundary_verified_exact
+    assert report.mle.tie_verified_exact
+    assert report_to_json(report).count('"boundary_verified_exact": false') == 1
+    assert render_text(report).count("  credible boundary not confirmed exactly\n") == 1
+
+
+def test_boundary_blocks_stop_once_the_level_is_reached(monkeypatch):
+    # the crossing entry opens a two-entry float run; given two distinct exact
+    # counts, the larger one's block alone reaches the level
+    x = ExperimentData(0, 3, 2, 2)
+    post = posterior(x, CompletelyRandomized(3, 7), 0.95)
+    confirmed = smallest_credible_set(post, 0.95)
+    assert confirmed.member_count == 28  # the run is entries 26 and 27
+    runs = []
+
+    def two_counts(at, co, de, x):
+        runs.append(len(at))
+        return [1, 2]
+
+    monkeypatch.setattr(inference, "_exact_counts", two_counts)
+    summary = smallest_credible_set(post, 0.95)
+    assert runs == [2]
+    assert summary.member_count == 27
+    assert summary.boundary_verified_exact
+    assert summary.achieved_mass == float(np.cumsum(post.mass)[26])
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=tables(max_n=12), monotone=st.sampled_from([None, True]))
+def test_argmax_ties_match_the_exact_argmax(counts, monotone):
+    x = ExperimentData(*counts)
+    thetas = [
+        t for t in enumerate_thetas(x.n) if not monotone or t.co == 0 or t.de == 0
+    ]
+    exact = [exact_assignment_count(t, x) for t in thetas]
+    index = theta_index(x.n)
+    want = [index.flat(t) for t, c in zip(thetas, exact) if c == max(exact)]
+    flat, verified = _argmax_ties(assignment_count_grid(x), x, monotone)
+    assert flat.tolist() == want
+    assert verified

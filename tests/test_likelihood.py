@@ -15,13 +15,13 @@ from defiers.core import (
     ExperimentData,
     Theta,
     enumerate_thetas,
-    theta_count,
     theta_index,
 )
 from defiers.combinatorics import LOG_ZERO
 from defiers.inference import _thetas_from_flat
 from defiers.likelihood import (
     GRID_MAX_N,
+    GRID_TIE_BOUND,
     PopulationShares,
     assignment_count_grid,
     exact_assignment_count,
@@ -274,7 +274,7 @@ def test_support_box_size_at_the_guard():
     n = GRID_MAX_N
     assert cells(n // 2, 0, n // 2, 0) == 251_252_001
     assert 8 * cells(n // 2, 0, n // 2, 0) == 2_010_016_008
-    assert 8 * theta_count(n) == 1_341_348_008
+    assert 8 * math.comb(n + 3, 3) == 1_341_348_008
 
 
 def test_grid_total_is_partition_of_assignments():
@@ -357,5 +357,14 @@ def test_grid_budget_guard():
 def test_grid_sum_fits_float64_at_the_guard():
     # every entry counts assignments of one arm size, at most C(n, n//2), so
     # the grid sum (the posterior's normaliser) is at most this bound
-    bound = theta_count(GRID_MAX_N) * math.comb(GRID_MAX_N, GRID_MAX_N // 2)
+    bound = math.comb(GRID_MAX_N + 3, 3) * math.comb(GRID_MAX_N, GRID_MAX_N // 2)
     assert bound < sys.float_info.max
+
+
+def test_tie_bound_covers_the_fill_error_at_the_guard():
+    # a cell's relative error is at most gamma_{n+7}; two cells of equal count
+    # differ by at most 2 gamma / (1 - gamma), and forming the cutoff rounds twice
+    u = Fraction(1, 2**53)
+    k = GRID_MAX_N + 7
+    gamma = k * u / (1 - k * u)
+    assert Fraction(GRID_TIE_BOUND) >= 2 * gamma / (1 - gamma) + 2 * u
