@@ -146,12 +146,13 @@ def rule_eu_vectors(
     def column(x: ExperimentData) -> list[tuple[np.ndarray, np.ndarray]]:
         box = assignment_count_grid(x)
         scale = math.exp(_log_likelihood_of_count(1, x, design))  # P(one assignment)
+        shape = np.array(box.shape)[:, None]
         parts = []
         for rule in rules:
             flat, weight = rule(box, x, design)
             coords = decoded[:, flat]
             # a guess outside the box (a Fréchet member can be) has likelihood 0
-            inside = (coords.T < box.shape).all(axis=1)
+            inside = (coords < shape).all(axis=0)
             likelihood = np.zeros(flat.size)
             likelihood[inside] = box[tuple(coords[:, inside])]
             parts.append((flat, likelihood * (weight * scale)))
@@ -159,9 +160,10 @@ def rule_eu_vectors(
 
     results = _thread_map(column, _data_space(n, design), None)
     vectors = [np.zeros(size) for _ in rules]
-    for parts in results:  # fixed data-space order
-        for vec, (flat, contrib) in zip(vectors, parts):
-            np.add.at(vec, flat, contrib)
+    for j, vec in enumerate(vectors):
+        flats, contribs = zip(*(parts[j] for parts in results))
+        # ufunc.at adds in index order, so each cell sums in data-space order
+        np.add.at(vec, np.concatenate(flats), np.concatenate(contribs))
     return vectors
 
 

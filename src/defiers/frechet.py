@@ -53,11 +53,6 @@ class FrechetSet:
         return [theta_at_defiers(self, d) for d in self.defier_range()]
 
 
-def _round_half_away(value: Fraction) -> int:
-    """Nearest integer to a non-negative value, halves rounded up, computed exactly."""
-    return int((2 * value + 1) // 2)
-
-
 def estimate_marginals(x: ExperimentData, design: Design) -> Marginals:
     """Marginal takeup counts estimated from observed takeup rates, rounded.
 
@@ -70,15 +65,14 @@ def estimate_marginals(x: ExperimentData, design: Design) -> Marginals:
     if x.intervention_size == 0 or x.control_size == 0:
         raise DegenerateDataError("marginal estimation needs both arms non-empty")
     n = x.n
+    half_up = lambda num, den: (2 * num + den) // (2 * den)  # num / den, halves up
     if isinstance(design, Bernoulli):
-        p = Fraction(design.p)
-        m1_raw = Fraction(x.i1) / p
-        mc_raw = Fraction(x.c1) / (1 - p)
+        a, b = design.p.as_integer_ratio()  # i1 / p = i1 b / a, c1 / (1-p) = c1 b / (b-a)
+        m1, mc = half_up(x.i1 * b, a), half_up(x.c1 * b, b - a)
     else:
-        m1_raw = Fraction(n * x.i1, x.intervention_size)
-        mc_raw = Fraction(n * x.c1, x.control_size)
-    clamp = lambda v: min(max(v, 0), n)
-    return Marginals(clamp(_round_half_away(m1_raw)), clamp(_round_half_away(mc_raw)), n)
+        m1 = half_up(n * x.i1, x.intervention_size)
+        mc = half_up(n * x.c1, x.control_size)
+    return Marginals(min(m1, n), min(mc, n), n)
 
 
 def frechet_set(marginals: Marginals) -> FrechetSet:

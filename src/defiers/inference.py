@@ -40,8 +40,13 @@ from .likelihood import (
 FULL_TABLE_MAX_N = 300
 
 # Exact tie confirmation is attempted on at most this many candidates; beyond
-# it, bit-equal float grouping is used and results are flagged unverified.
+# it, bit-equal float grouping is used and results are flagged unverified,
+# unless the maxima lie below EXACT_FLOAT_LIMIT.
 EXACT_TIE_CAP = 10_000
+
+# A box value below this is an exact count, and so is every product and partial
+# sum that formed it, so bit-equal maxima below it are exact ties.
+EXACT_FLOAT_LIMIT = 2.0**53
 
 
 @functools.lru_cache(maxsize=1)
@@ -90,14 +95,19 @@ def _argmax_ties(
         raise AssertionError("likelihood is zero everywhere; data inconsistent")
     # every exact maximizer lies within the fill's rounding-error bound of top
     cutoff = top * (1.0 - GRID_TIE_BOUND)
-    near = [np.unravel_index(np.flatnonzero(p >= cutoff), p.shape) for p in parts]
+    near = [np.flatnonzero(p >= cutoff) for p in parts]
+    if sum(hits.size for hits in near) == 1:  # the monotone corner (at,0,0) is in both planes
+        part, (hit,) = next((p, hits) for p, hits in zip(parts, near) if hits.size)
+        at, rest = divmod(int(hit), part.shape[1] * part.shape[2])
+        return theta_index(x.n).flatten(at, *divmod(rest, part.shape[2]))[None], True
+    near = [np.unravel_index(hits, p.shape) for p, hits in zip(parts, near)]
     at, co, de = (np.concatenate(axis) for axis in zip(*near))
     flat, first = np.unique(theta_index(x.n).flatten(at, co, de), return_index=True)
     if flat.size == 1:
         return flat, True
     if flat.size > EXACT_TIE_CAP:
         # Too many suspects for exact confirmation: keep bit-equal maxima.
-        return flat[box[at, co, de][first] == top], False
+        return flat[box[at, co, de][first] == top], top < EXACT_FLOAT_LIMIT
     counts = _exact_counts(at[first], co[first], de[first], x)
     best = max(counts)
     return flat[np.asarray([c == best for c in counts])], True

@@ -262,8 +262,8 @@ def assignment_count_grid(x: ExperimentData) -> np.ndarray:
     of four binomial coefficients.  For each a_i that map is affine and
     injective, so its products are added onto one strided view of the box, in
     O((i1+1)(i0+1)(c1+1)(c0+1)) work in all.  Products are formed for blocks
-    of c_c rows, about 256 KB each, so scratch beside the box is that block
-    plus the (a_i, c_c, a_c) factor ``head``.
+    of a run of a_i values by c_c rows, about 256 KB each, so scratch beside
+    the box is that block plus the (a_i, c_c, a_c) factor ``head``.
 
     Values are float64; counts are exact wherever they stay below 2**53, and
     suspected ties are confirmed with exact integer sums by callers.
@@ -277,30 +277,32 @@ def assignment_count_grid(x: ExperimentData) -> np.ndarray:
     table = choose_table(n)
     box = np.zeros((i1 + c1 + 1, i1 + c0 + 1, i0 + c1 + 1))
     s_at, s_co, s_de = box.strides
+    view = lambda base, off, shape, strides: np.ndarray(shape, buffer=base, offset=off, strides=strides)
     # slabs[a_i][c_c, a_c, d_i] is box[a_i + a_c, i1 - a_i + c_c, c1 - a_c + d_i]
-    slabs = np.ndarray(
-        shape=(i1 + 1, c0 + 1, c1 + 1, i0 + 1),
-        buffer=box,
-        offset=i1 * s_co + c1 * s_de,
-        strides=(s_at - s_co, s_co, s_at - s_de, s_de),
-    )
-    a_i = np.arange(i1 + 1)[:, None, None]
-    c_c = np.arange(c0 + 1)[:, None]
-    a_c = np.arange(c1 + 1)
-    d_i = np.arange(i0 + 1)
+    slabs = view(box, i1 * s_co + c1 * s_de, (i1 + 1, c0 + 1, c1 + 1, i0 + 1),
+                 (s_at - s_co, s_co, s_at - s_de, s_de))
+    # Each factor runs along diagonals of the table (one step down and right is
+    # `dr`), so it is a strided view; the two every block reads are copied.
     # term = ((C(at, a_i) C(co, i1-a_i)) C(de, d_i)) C(nt, i0-d_i); order fixes bits
-    head = table[a_i + a_c, a_i] * table[i1 - a_i + c_c, i1 - a_i]
-    de_part = table[c1 - a_c[:, None] + d_i, d_i]
-    nt_part = table[(i0 - d_i) + (c0 - c_c), i0 - d_i][:, None, :]
+    down, dr = table.strides[0], sum(table.strides)
+    # C(a_i + a_c, a_i) * C(i1 - a_i + c_c, i1 - a_i), by (a_i, c_c, a_c)
+    head = view(table, 0, (i1 + 1, 1, c1 + 1), (dr, 0, down)) * view(
+        table, i1 * dr, (i1 + 1, c0 + 1, 1), (-dr, down, 0))
+    # C(c1 - a_c + d_i, d_i) by (a_c, d_i); C(i0 - d_i + c0 - c_c, i0 - d_i) by (c_c, 1, d_i)
+    de_part = view(table, c1 * down, (c1 + 1, i0 + 1), (-down, dr)).copy()
+    nt_part = view(table, i0 * dr + c0 * down, (c0 + 1, 1, i0 + 1), (-down, 0, -dr)).copy()
     # c_c = co - i1 + a_i grows with a_i, so blocks of c_c rows taken in order,
     # each run over ascending a_i, still sum each cell in ascending a_i.
     rows = min(c0 + 1, max(1, _BLOCK_CELLS // ((c1 + 1) * (i0 + 1))))
-    term = np.empty((rows, c1 + 1, i0 + 1))
+    run = min(i1 + 1, max(1, _BLOCK_CELLS // (rows * (c1 + 1) * (i0 + 1))))  # a_i per block
+    term = np.empty((run, rows, c1 + 1, i0 + 1))
     for r in range(0, c0 + 1, rows):
         nt_rows = nt_part[r : r + rows]
-        part = term[: len(nt_rows)]  # the last block may be short
-        for k in range(i1 + 1):
-            np.multiply(head[k, r : r + rows, :, None], de_part, out=part)
+        for k0 in range(0, i1 + 1, run):
+            heads = head[k0 : k0 + run, r : r + rows, :, None]
+            part = term[: len(heads), : len(nt_rows)]  # the last run or rows may be short
+            np.multiply(heads, de_part, out=part)
             part *= nt_rows
-            slabs[k, r : r + rows] += part
+            for slab, products in zip(slabs[k0 : k0 + run, r : r + rows], part):
+                slab += products
     return box

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -317,6 +318,7 @@ def test_frechet_rule_guesses_nothing_with_an_empty_arm():
         assert bayes_expected_utility(FRECHET_RULE, 4, CompletelyRandomized(m, 4)) == 0.0
 
 
+@functools.lru_cache(maxsize=None)
 def bernoulli_data_distribution(theta, p):
     """Independent oracle: P(x | theta) from all 2**n assignments of the subjects."""
     types = "A" * theta.at + "C" * theta.co + "D" * theta.de + "N" * theta.nt
@@ -335,25 +337,30 @@ def bernoulli_data_distribution(theta, p):
 
 
 def bernoulli_oracle_rules(n, p):
-    """Maximum likelihood, uniform-in-set and monotonicity rules by enumeration."""
+    """Maximum likelihood, uniform-in-set and monotonicity rules by enumeration.
+
+    Each rule maps data to {theta: weight}, computed once per realization.
+    """
     thetas = list(enumerate_thetas(n))
     monotone = [t for t in thetas if t.de == 0 or t.co == 0]
+    tally = functools.lru_cache(maxsize=None)(oracle_data_distribution)
 
     def argmax(x, candidates):
-        counts = [oracle_assignment_count(t, x, x.intervention_size) for t in candidates]
+        counts = [tally(t, x.intervention_size).get(x, 0) for t in candidates]
         ties = [t for t, c in zip(candidates, counts) if c == max(counts)]
-        return [(t, Fraction(1, len(ties))) for t in ties]
+        return {t: Fraction(1, len(ties)) for t in ties}
 
     def frechet(x):
         if x.intervention_size == 0 or x.control_size == 0:
-            return []
+            return {}
         half = Fraction(1, 2)
         m1 = min(int(x.i1 / Fraction(p) + half), n)
         mc = min(int(x.c1 / (1 - Fraction(p)) + half), n)
         members = [t for t in thetas if (t.at + t.co, t.at + t.de) == (m1, mc)]
-        return [(t, Fraction(1, len(members))) for t in members]
+        return {t: Fraction(1, len(members)) for t in members}
 
-    return [lambda x: argmax(x, thetas), frechet, lambda x: argmax(x, monotone)]
+    rules = [lambda x: argmax(x, thetas), frechet, lambda x: argmax(x, monotone)]
+    return [functools.lru_cache(maxsize=None)(rule) for rule in rules]
 
 
 def bernoulli_bayes_eu(decide, n, p):
@@ -361,13 +368,13 @@ def bernoulli_bayes_eu(decide, n, p):
     total = Fraction(0)
     for theta in thetas:
         for x, prob in bernoulli_data_distribution(theta, p).items():
-            total += prob * sum(w for t, w in decide(x) if t == theta)
+            total += prob * decide(x).get(theta, 0)
     return float(total / len(thetas))
 
 
 @pytest.mark.parametrize("p", [0.5, 0.3])
 def test_bernoulli_bayes_eu_matches_brute_force(p):
-    for n in range(1, 5):
+    for n in range(1, 9):  # n = 9 would take about three times as long as n <= 8
         got = bayes_expected_utilities(
             [MAX_LIKELIHOOD_RULE, FRECHET_RULE, MONOTONICITY_RULE], n, Bernoulli(p)
         )

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from defiers.core import (
     Bernoulli,
@@ -21,6 +23,8 @@ from defiers.frechet import (
     theta_at_defiers,
 )
 from defiers.likelihood import log_likelihood
+
+from grid_reference import tables
 
 ORGAN_X = ExperimentData(50, 11, 23, 31)
 ORGAN_CR = CompletelyRandomized(61, 115)
@@ -51,6 +55,40 @@ def test_estimate_marginals_bernoulli_denominators():
     assert (est.m1, est.mc) == (6, 4)
     skewed = estimate_marginals(x, Bernoulli(0.25))
     assert (skewed.m1, skewed.mc) == (12, 3)  # 3/0.25 = 12, 2/0.75 = 2.67 -> 3
+
+
+def half_up(value):
+    """Nearest integer to a non-negative Fraction, halves rounded up."""
+    return math.floor(value + Fraction(1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=tables(max_n=60))
+@example(counts=(1, 3, 3, 1))  # 8 * 1 / 4 = 2 and 8 * 3 / 4 = 6: exact integers
+@example(counts=(1, 1, 3, 1))  # 6 * 1 / 2 = 3 and 6 * 3 / 4 = 4.5: an exact half
+@example(counts=(3, 5, 1, 3))  # 12 * 3 / 8 = 4.5 and 12 * 1 / 4 = 3
+def test_estimate_marginals_match_fraction_rounding_completely_randomized(counts):
+    x = ExperimentData(*counts)
+    m, k = x.intervention_size, x.control_size
+    assume(m > 0 and k > 0)
+    est = estimate_marginals(x, CompletelyRandomized(m, x.n))
+    assert (est.m1, est.mc) == (half_up(Fraction(x.n * x.i1, m)), half_up(Fraction(x.n * x.c1, k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=tables(max_n=60), p=st.sampled_from([0.5, 0.3, 1 / 3, 0.7]))
+@example(counts=(1, 0, 1, 0), p=0.5)  # 1 / 0.5 = 2: exact integers
+# a dyadic p = a / 2**k with a odd never gives an exact half; the float 0.4
+# exceeds 2/5, so 3 / 0.4 lies just below 7.5 (float division rounds it to 7.5)
+@example(counts=(3, 2, 5, 0), p=0.4)
+@example(counts=(3, 3, 3, 3), p=0.75)  # 3 / 0.75 = 4 and 3 / 0.25 = 12
+def test_estimate_marginals_match_fraction_rounding_bernoulli(counts, p):
+    x = ExperimentData(*counts)
+    assume(x.intervention_size > 0 and x.control_size > 0)
+    est = estimate_marginals(x, Bernoulli(p))
+    q = Fraction(p)  # the exact value of the float p
+    want = (half_up(x.i1 / q), half_up(x.c1 / (1 - q)))
+    assert (est.m1, est.mc) == tuple(min(v, x.n) for v in want)
 
 
 def test_estimate_marginals_degenerate():

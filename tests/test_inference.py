@@ -357,6 +357,7 @@ def test_unconfirmed_maximizer_tie_reaches_both_reports(monkeypatch):
     assert verified.mle.tie_verified_exact
     assert "not confirmed" not in render_text(verified)
     monkeypatch.setattr(inference, "EXACT_TIE_CAP", 1)
+    monkeypatch.setattr(inference, "EXACT_FLOAT_LIMIT", 0.0)
     report = analyze(request)
     assert not report.mle.tie_verified_exact
     assert report.mle.maximizers == verified.mle.maximizers
@@ -367,6 +368,7 @@ def test_unconfirmed_maximizer_tie_reaches_both_reports(monkeypatch):
 def test_unconfirmed_monotone_tie_is_printed(monkeypatch):
     # four monotone maximizers tie; the unrestricted maximum (0,5,2,0) is unique
     monkeypatch.setattr(inference, "EXACT_TIE_CAP", 1)
+    monkeypatch.setattr(inference, "EXACT_FLOAT_LIMIT", 0.0)
     report = analyze(AnalysisRequest(design=CompletelyRandomized(3, 7), data=ExperimentData(2, 1, 1, 3)))
     assert report.mle.tie_verified_exact
     assert len(report.monotonicity.maximizers) == 4
@@ -380,6 +382,7 @@ def test_unconfirmed_fallback_keeps_only_the_bit_equal_maxima(monkeypatch):
     x, design = ExperimentData(2, 1, 1, 3), CompletelyRandomized(3, 7)
     want = mle(x, design).maximizers, monotonicity_mle(x, design).maximizers
     monkeypatch.setattr(inference, "EXACT_TIE_CAP", 1)
+    monkeypatch.setattr(inference, "EXACT_FLOAT_LIMIT", 0.0)
     monkeypatch.setattr(inference, "GRID_TIE_BOUND", 1.0 - math.exp(-5.0))
     for result, maximizers in zip((mle(x, design), monotonicity_mle(x, design)), want):
         assert result.maximizers == maximizers
@@ -410,7 +413,20 @@ def test_credible_boundary_run_above_the_cap_on_real_input():
     x = ExperimentData(0, 0, 100, 100)
     summary = smallest_credible_set(posterior(x, CompletelyRandomized(0, 200), 0.95), 0.95)
     assert summary.member_count == 10_201
+    # equal masses need not come from equal counts, so the run stays unconfirmed
     assert not summary.boundary_verified_exact
+
+
+def test_bit_equal_maxima_below_the_exact_float_limit_are_exact_ties(monkeypatch):
+    # the same 10,201 vectors tie at count 1: above the cap, but every value of
+    # the fill is an exact integer below 2**53, so the bit-equal maxima are exact
+    x, design = ExperimentData(0, 0, 100, 100), CompletelyRandomized(0, 200)
+    result = mle(x, design)
+    assert len(result.maximizers) == 10_201 > inference.EXACT_TIE_CAP
+    assert {t.at + t.de for t in result.maximizers} == {100}
+    assert result.tie_verified_exact
+    monkeypatch.setattr(inference, "EXACT_FLOAT_LIMIT", 1.0)  # the top count is 1
+    assert mle(x, design) == dataclasses.replace(result, tie_verified_exact=False)
 
 
 def test_unconfirmed_credible_boundary_reaches_both_reports(monkeypatch):

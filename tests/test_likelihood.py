@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from defiers import likelihood
 from defiers.core import (
@@ -235,9 +235,19 @@ def one_block(i1, i0, c1, c0):
     return (c0 + 1) * (c1 + 1) * (i0 + 1)
 
 
+def runs_of_two(i1, i0, c1, c0):
+    """Every c_c row of two a_i per block: an even i1 leaves a 1-a_i last run."""
+    return 2 * (c0 + 1) * (c1 + 1) * (i0 + 1)
+
+
+def every_a_i(i1, i0, c1, c0):
+    return (i1 + 1) * (c0 + 1) * (c1 + 1) * (i0 + 1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(counts=tables())
-@pytest.mark.parametrize("block_cells", [one_row, ragged])
+@example(counts=(4, 3, 2, 5))  # a_i runs 0-1, 2-3 and 4
+@pytest.mark.parametrize("block_cells", [one_row, ragged, runs_of_two, every_a_i])
 def test_blocked_fill_is_bit_equal_to_the_reference(block_cells, counts):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(likelihood, "_BLOCK_CELLS", block_cells(*counts))
@@ -246,8 +256,9 @@ def test_blocked_fill_is_bit_equal_to_the_reference(block_cells, counts):
 
 def test_smoking_box_bits_do_not_depend_on_the_block_size(monkeypatch):
     x = ExperimentData(69, 237, 26, 280)
-    # 5-row blocks of 27 * 238 cells at the default, the last one 1 row
+    # 5-row blocks of 27 * 238 cells and one a_i at the default, the last one 1 row
     assert likelihood._BLOCK_CELLS // (27 * 238) == 5 and 281 % 5 == 1
+    assert likelihood._BLOCK_CELLS // (5 * 27 * 238) == 1
     box = assignment_count_grid(x)
     for block_cells in (one_row, one_block):
         monkeypatch.setattr(likelihood, "_BLOCK_CELLS", block_cells(*x.counts()))
