@@ -194,16 +194,15 @@ class ThetaIndex:
         # vectors preceding the at-block is C(j+2, 3).
         j = np.arange(n + 2, dtype=np.int64)
         self._base = j * (j + 1) * (j + 2) // 6
+        # Within an at-block, C(u+1, 2) vectors precede those with u = n - at - co.
+        self._tri = j * (j + 1) // 2
 
     @property
     def size(self) -> int:
         return int(self._base[-1])
 
     def flatten(self, at, co, de):
-        """Flat index of (at, co, de[, nt implied]); accepts scalars or arrays."""
-        at = np.asarray(at, dtype=np.int64)
-        co = np.asarray(co, dtype=np.int64)
-        de = np.asarray(de, dtype=np.int64)
+        """Flat index of (at, co, de[, nt implied]); Python ints or integer arrays."""
         u = self.n - at - co  # vectors with this at and larger co come first
         return self._base[self.n - at] + u * (u + 1) // 2 + (u - de)
 
@@ -213,20 +212,15 @@ class ThetaIndex:
         j = np.searchsorted(self._base, idx, side="right") - 1
         at = self.n - j
         r = idx - self._base[j]
-        # Initial guess from the triangular offset formula, then exact fix-up.
-        u = ((np.sqrt(8.0 * r + 1.0) - 1.0) // 2).astype(np.int64)
-        u = np.maximum(u, 0)
-        for _ in range(2):
-            u = np.where(u * (u + 1) // 2 > r, u - 1, u)
-            u = np.where((u + 1) * (u + 2) // 2 <= r, u + 1, u)
+        u = np.searchsorted(self._tri, r, side="right") - 1
         co = j - u
-        de = u - (r - u * (u + 1) // 2)
+        de = u - (r - self._tri[u])
         return at, co, de, self.n - at - co - de
 
     def flat(self, theta: Theta) -> int:
         if theta.n != self.n:
             raise ValueError(f"theta has n={theta.n}, index built for n={self.n}")
-        return int(self.flatten(theta.at, theta.co, theta.de))
+        return int(self.flatten(int(theta.at), int(theta.co), int(theta.de)))
 
 
 @functools.lru_cache(maxsize=16)

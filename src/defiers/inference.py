@@ -45,7 +45,9 @@ FULL_TABLE_MAX_N = 300
 EXACT_TIE_CAP = 10_000
 
 # A box value below this is an exact count, and so is every product and partial
-# sum that formed it, so bit-equal maxima below it are exact ties.
+# sum that formed it: each factor of a term is at least 1, so each factor and
+# partial product is at most the term, which is at most its cell.  Bit-equal
+# maxima below it are therefore the exact maximizers, with no exact recount.
 EXACT_FLOAT_LIMIT = 2.0**53
 
 
@@ -105,8 +107,9 @@ def _argmax_ties(
     flat, first = np.unique(theta_index(x.n).flatten(at, co, de), return_index=True)
     if flat.size == 1:
         return flat, True
-    if flat.size > EXACT_TIE_CAP:
-        # Too many suspects for exact confirmation: keep bit-equal maxima.
+    if top < EXACT_FLOAT_LIMIT or flat.size > EXACT_TIE_CAP:
+        # Below the limit the bit-equal maxima are the exact ones; above the
+        # cap there are too many suspects to confirm, so they stay unverified.
         return flat[box[at, co, de][first] == top], top < EXACT_FLOAT_LIMIT
     counts = _exact_counts(at[first], co[first], de[first], x)
     best = max(counts)
@@ -266,14 +269,12 @@ def smallest_credible_set(post: PosteriorTable, level: float) -> CredibleSummary
     cum = np.cumsum(mass)
     k = min(int(np.searchsorted(cum, level, side="left")), mass.size - 1)
     v = mass[k]
-    # Bit-equal float run containing the crossing entry.
-    run_start = int(np.searchsorted(-mass, -v, side="left"))
-    run_end = int(np.searchsorted(-mass, -v, side="right")) - 1
+    run = np.flatnonzero(mass == v)  # the bit-equal float run holding the crossing
+    run_start = int(run[0])
     pre_mass = float(cum[run_start - 1]) if run_start > 0 else 0.0
-    if run_start == run_end:
-        boundary, verified = np.arange(run_start, k + 1), True
+    if run.size == 1:
+        boundary, verified = run, True
     else:
-        run = np.arange(run_start, run_end + 1)
         boundary, verified = _boundary_members(post, run, level, pre_mass)
     idx = np.concatenate((np.arange(run_start), boundary))
     achieved = pre_mass + float(v) * boundary.size

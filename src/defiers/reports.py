@@ -291,6 +291,9 @@ def rule_comparison_csv(rows: list[RuleComparisonRow]) -> str:
 # ---------------------------------------------------------------------------
 # SVG writers (static markup; tests check structure, not bytes)
 
+_CELL_PX = 14  # heatmap cell side
+_CHART_WIDTH, _CHART_HEIGHT = 640, 360  # profile and rule-comparison charts
+
 
 def _svg_header(width: int, height: int) -> list[str]:
     return [
@@ -308,7 +311,7 @@ def _purple_shade(fraction: float) -> str:
     return f"rgb({r},{g},{b})"
 
 
-def heatmap_svg(cells: list[list[HeatmapCell]], cell_px: int = 14) -> str:
+def heatmap_svg(cells: list[list[HeatmapCell]]) -> str:
     """Grid shaded by defier count, with type-region and Fisher boundaries.
 
     Intervention takeup runs along x, control takeup along y (origin bottom
@@ -319,19 +322,19 @@ def heatmap_svg(cells: list[list[HeatmapCell]], cell_px: int = 14) -> str:
     m = len(cells) - 1
     mc = len(cells[0]) - 1
     margin = 30
-    width = margin * 2 + (m + 1) * cell_px
-    height = margin * 2 + (mc + 1) * cell_px
+    width = margin * 2 + (m + 1) * _CELL_PX
+    height = margin * 2 + (mc + 1) * _CELL_PX
     max_defiers = max((c.defier_count for row in cells for c in row), default=0) or 1
     parts = _svg_header(width, height)
     parts.append('<g class="cells">')
     for i1 in range(m + 1):
         for c1 in range(mc + 1):
             cell = cells[i1][c1]
-            x = margin + i1 * cell_px
-            y = margin + (mc - c1) * cell_px
+            x = margin + i1 * _CELL_PX
+            y = margin + (mc - c1) * _CELL_PX
             fill = _purple_shade(cell.defier_count / max_defiers)
             parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" '
+                f'<rect x="{x}" y="{y}" width="{_CELL_PX}" height="{_CELL_PX}" '
                 f'fill="{fill}" data-types="{cell.type_signature}" '
                 f'data-defiers="{cell.defier_count}" '
                 f'data-fisher-reject="{str(cell.fisher_reject_5).lower()}"/>'
@@ -342,16 +345,16 @@ def heatmap_svg(cells: list[list[HeatmapCell]], cell_px: int = 14) -> str:
         segs = []
         for i1 in range(m + 1):
             for c1 in range(mc + 1):
-                x = margin + i1 * cell_px
-                y = margin + (mc - c1) * cell_px
+                x = margin + i1 * _CELL_PX
+                y = margin + (mc - c1) * _CELL_PX
                 if i1 < m and differs(cells[i1][c1], cells[i1 + 1][c1]):
                     segs.append(
-                        f'<line x1="{x + cell_px}" y1="{y}" '
-                        f'x2="{x + cell_px}" y2="{y + cell_px}"/>'
+                        f'<line x1="{x + _CELL_PX}" y1="{y}" '
+                        f'x2="{x + _CELL_PX}" y2="{y + _CELL_PX}"/>'
                     )
                 if c1 < mc and differs(cells[i1][c1], cells[i1][c1 + 1]):
                     segs.append(
-                        f'<line x1="{x}" y1="{y}" x2="{x + cell_px}" y2="{y}"/>'
+                        f'<line x1="{x}" y1="{y}" x2="{x + _CELL_PX}" y2="{y}"/>'
                     )
         return segs
 
@@ -378,16 +381,14 @@ def heatmap_svg(cells: list[list[HeatmapCell]], cell_px: int = 14) -> str:
     return "\n".join(parts) + "\n"
 
 
-def profile_svg(
-    rows: list[ProfileRow], in_level: list[bool], width: int = 640, height: int = 360
-) -> str:
+def profile_svg(rows: list[ProfileRow], in_level: list[bool]) -> str:
     """Bar chart of within-set masses; bars outside the level set are lighter."""
     margin = 40
-    plot_w = width - 2 * margin
-    plot_h = height - 2 * margin
+    plot_w = _CHART_WIDTH - 2 * margin
+    plot_h = _CHART_HEIGHT - 2 * margin
     max_mass = max((r.mass for r in rows), default=0.0) or 1.0
     bar_w = plot_w / max(len(rows), 1)
-    parts = _svg_header(width, height)
+    parts = _svg_header(_CHART_WIDTH, _CHART_HEIGHT)
     parts.append('<g class="bars">')
     for k, (row, inside) in enumerate(zip(rows, in_level)):
         h = plot_h * row.mass / max_mass
@@ -405,7 +406,7 @@ def profile_svg(
         f'y2="{margin + plot_h}" stroke="black"/>'
     )
     parts.append(
-        f'<text x="{margin}" y="{height - 10}" font-size="11">defiers '
+        f'<text x="{margin}" y="{_CHART_HEIGHT - 10}" font-size="11">defiers '
         f"({rows[0].defiers}...{rows[-1].defiers})</text>"
     )
     parts.append(
@@ -415,13 +416,11 @@ def profile_svg(
     return "\n".join(parts) + "\n"
 
 
-def rule_comparison_svg(
-    rows: list[RuleComparisonRow], width: int = 640, height: int = 360
-) -> str:
+def rule_comparison_svg(rows: list[RuleComparisonRow]) -> str:
     """Two ratio curves (maximum likelihood over each alternative rule)."""
     margin = 45
-    plot_w = width - 2 * margin
-    plot_h = height - 2 * margin
+    plot_w = _CHART_WIDTH - 2 * margin
+    plot_h = _CHART_HEIGHT - 2 * margin
     xs = [r.n for r in rows]
     series = {
         "ratio-frechet": [r.ratio_frechet for r in rows],
@@ -437,7 +436,7 @@ def rule_comparison_svg(
     def py(v: float) -> float:
         return margin + plot_h * (1 - (v - lo) / (hi - lo))
 
-    parts = _svg_header(width, height)
+    parts = _svg_header(_CHART_WIDTH, _CHART_HEIGHT)
     colors = {"ratio-frechet": "#1f77b4", "ratio-mono": "#d62728"}
     for name, vals in series.items():
         points = " ".join(f"{px(n):.2f},{py(v):.2f}" for n, v in zip(xs, vals))
@@ -450,7 +449,7 @@ def rule_comparison_svg(
         f'y2="{py(1.0)}" stroke="#888" stroke-dasharray="3,3"/>'
     )
     parts.append(
-        f'<text x="{margin}" y="{height - 12}" font-size="11">sample size '
+        f'<text x="{margin}" y="{_CHART_HEIGHT - 12}" font-size="11">sample size '
         f"({x0}...{x1})</text>"
     )
     parts.append(
@@ -458,11 +457,11 @@ def rule_comparison_svg(
         "ratio (maximum likelihood rule over alternative)</text>"
     )
     parts.append(
-        f'<text x="{width - margin - 170}" y="{margin}" font-size="11" '
+        f'<text x="{_CHART_WIDTH - margin - 170}" y="{margin}" font-size="11" '
         f'fill="{colors["ratio-frechet"]}">over uniform-in-set rule</text>'
     )
     parts.append(
-        f'<text x="{width - margin - 170}" y="{margin + 16}" font-size="11" '
+        f'<text x="{_CHART_WIDTH - margin - 170}" y="{margin + 16}" font-size="11" '
         f'fill="{colors["ratio-mono"]}">over monotonicity rule</text>'
     )
     parts.append("</svg>")

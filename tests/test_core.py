@@ -12,6 +12,7 @@ from defiers.core import (
     enumerate_thetas,
     theta_index,
 )
+from defiers.likelihood import GRID_MAX_N
 
 
 def test_theta_validation():
@@ -88,6 +89,38 @@ def test_theta_index_roundtrip_exhaustive(n):
             for a, c, d, t in zip(at, co, de, nt)] == expect
     back = index.flatten(at, co, de)
     assert np.array_equal(back, flat)
+
+
+def test_theta_index_block_ends_roundtrip_at_the_guard():
+    # every (at, co) block at the largest grid n: its first vector has de =
+    # n - at - co, its last de = 0, and consecutive blocks meet with no gap
+    n = GRID_MAX_N
+    index = ThetaIndex(n)
+    at = np.repeat(np.arange(n, -1, -1), np.arange(1, n + 2))
+    co = np.concatenate([np.arange(n - a, -1, -1) for a in range(n, -1, -1)])
+    assert at.size == (n + 1) * (n + 2) // 2 == 501_501
+    rest = n - at - co
+    first, last = index.flatten(at, co, rest), index.flatten(at, co, 0)
+    assert first[0] == 0 and last[-1] == index.size - 1 == math.comb(n + 3, 3) - 1
+    assert np.array_equal(last - first, rest)
+    assert np.array_equal(first[1:], last[:-1] + 1)
+    zero = np.zeros_like(at)
+    for flat, de, nt in ((first, rest, zero), (last, zero, rest)):
+        got = index.components(flat)
+        for axis, want in zip(got, (at, co, de, nt)):
+            assert np.array_equal(axis, want)
+        assert np.array_equal(index.flatten(*got[:3]), flat)
+
+
+def test_theta_index_flatten_python_ints_match_arrays():
+    index = theta_index(612)
+    rng = np.random.default_rng(2)
+    at, co, de, _ = index.components(rng.integers(0, index.size, size=200))
+    flat = index.flatten(at, co, de)
+    for a, c, d, f in zip(at.tolist(), co.tolist(), de.tolist(), flat.tolist()):
+        assert index.flatten(a, c, d) == f
+    # narrow numpy counts are read as Python ints (612 - uint8 would overflow)
+    assert index.flat(Theta(np.uint8(5), np.int16(600), np.uint8(7), 0)) == index.flatten(5, 600, 7)
 
 
 def test_theta_index_spot_large():

@@ -57,10 +57,20 @@ def test_mle_matches_oracle_argmax_small_n():
                 assert got == expect, (n, m, x.counts())
 
 
-def test_mle_two_way_tie_midline():
-    # exact two-way ties on the midline where takeup is half the intervention arm
+def test_mle_two_way_tie_midline(monkeypatch):
+    # exact two-way ties on the midline where takeup is half the intervention arm;
+    # the top count is above 2**53, so the tie is confirmed by exact counts
     x = ExperimentData(50, 50, 20, 80)
+    recounts = []
+
+    def exact_counts(*args):
+        recounts.append(len(args[0]))
+        return real_exact_counts(*args)
+
+    real_exact_counts = inference._exact_counts
+    monkeypatch.setattr(inference, "_exact_counts", exact_counts)
     result = mle(x, CompletelyRandomized(100, 200))
+    assert recounts
     assert len(result.maximizers) == 2
     assert result.tie_verified_exact
     assert set(result.maximizers) == {Theta(0, 100, 40, 60), Theta(40, 60, 0, 100)}
@@ -465,16 +475,38 @@ def test_boundary_blocks_stop_once_the_level_is_reached(monkeypatch):
     assert summary.achieved_mass == float(np.cumsum(post.mass)[26])
 
 
-@settings(max_examples=100, deadline=None)
-@given(counts=tables(max_n=12), monotone=st.sampled_from([None, True]))
-def test_argmax_ties_match_the_exact_argmax(counts, monotone):
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=tables(max_n=12),
+    monotone=st.sampled_from([None, True]),
+    limit=st.sampled_from([inference.EXACT_FLOAT_LIMIT, 0.0]),
+)
+@example(counts=(15, 15, 16, 14), monotone=None, limit=inference.EXACT_FLOAT_LIMIT)
+def test_argmax_ties_match_the_exact_argmax(counts, monotone, limit):
+    # Below the limit bit equality decides every tie with no exact count; with
+    # the limit at 0 every multi-suspect window is recounted exactly.  No table
+    # with n <= 12 reaches 2**53; the example (n=60) has two maximizers above it.
     x = ExperimentData(*counts)
     thetas = [
         t for t in enumerate_thetas(x.n) if not monotone or t.co == 0 or t.de == 0
     ]
     exact = [exact_assignment_count(t, x) for t in thetas]
-    index = theta_index(x.n)
-    want = [index.flat(t) for t, c in zip(thetas, exact) if c == max(exact)]
-    flat, verified = _argmax_ties(assignment_count_grid(x), x, monotone)
+    index, best = theta_index(x.n), max(exact)
+    want = [index.flat(t) for t, c in zip(thetas, exact) if c == best]
+    box = assignment_count_grid(x)
+    recounts = []
+
+    def exact_counts(*args):
+        assert box.max() >= limit, "bit equality decides ties below the limit"
+        recounts.append(len(args[0]))
+        return real_exact_counts(*args)
+
+    real_exact_counts = inference._exact_counts
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "EXACT_FLOAT_LIMIT", limit)
+        patch.setattr(inference, "_exact_counts", exact_counts)
+        flat, verified = _argmax_ties(box, x, monotone)
     assert flat.tolist() == want
     assert verified
+    if box.max() >= limit and len(want) > 1:
+        assert recounts

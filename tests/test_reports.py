@@ -1,10 +1,12 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from defiers.core import Bernoulli, CompletelyRandomized, ExperimentData, Theta
 from defiers.evaluation import heatmap, rule_comparison_curve
 from defiers.frechet import (
+    Marginals,
     estimate_marginals,
     frechet_profile,
     frechet_set,
@@ -25,6 +27,8 @@ from defiers.reports import (
     rule_comparison_csv,
     rule_comparison_svg,
 )
+
+from grid_reference import tables
 
 SIX = ExperimentData(2, 1, 1, 2)
 CR6 = CompletelyRandomized(3, 6)
@@ -175,3 +179,46 @@ def test_heatmap_csv_emits_each_tied_estimate():
     assert len(lines) == 3  # header plus one row per tied estimate
     assert lines[1].startswith("1,2,0,3,1,2,2,")
     assert lines[2].startswith("1,2,1,2,0,3,2,")
+
+
+def _exact_half(num: int, den: int) -> bool:
+    return 2 * num % (2 * den) == den
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=tables(max_n=20), level=st.sampled_from([0.5, 0.8, 0.95, 0.99]))
+@example(counts=(1, 2, 1, 1), level=0.95)  # an exact half, see below
+def test_analyze_commutes_with_relabeling(counts, level):
+    # At n <= 20 every count, sum and mass is exact, so swapping the takeup
+    # labels must mirror the whole analysis, ties and credible boundary included.
+    x = ExperimentData(*counts)
+    n, m = x.n, x.intervention_size
+    assume(0 < m < n)
+    design = CompletelyRandomized(m, n)
+    rep = analyze(AnalysisRequest(design=design, data=x, credible_level=level))
+    mirror = analyze(AnalysisRequest(design=design, data=x.relabeled(), credible_level=level))
+    for got, want in ((mirror.mle, rep.mle), (mirror.monotonicity, rep.monotonicity)):
+        assert set(got.maximizers) == {t.relabeled() for t in want.maximizers}
+        assert got.log_likelihood == want.log_likelihood
+        assert got.tie_verified_exact == want.tie_verified_exact
+    a, b = rep.credible, mirror.credible
+    assert (b.member_count, b.achieved_mass.hex()) == (a.member_count, a.achieved_mass.hex())
+    assert (b.at_range, b.co_range, b.de_range, b.nt_range) == (
+        a.nt_range, a.de_range, a.co_range, a.at_range
+    )
+    assert b.boundary_verified_exact == a.boundary_verified_exact
+    # Round-half-up does not mirror an exact half, so the estimated set moves.
+    if _exact_half(n * x.i1, m) or _exact_half(n * x.c1, n - m):
+        assert mirror.marginals != (n - rep.marginals[0], n - rep.marginals[1])
+        return
+    assert mirror.marginals == (n - rep.marginals[0], n - rep.marginals[1])
+    assert [r.mass for r in mirror.profile] == [r.mass for r in rep.profile]
+    assert [r.log_likelihood for r in mirror.profile] == [r.log_likelihood for r in rep.profile]
+    assert mirror.profile_in_level == rep.profile_in_level
+
+
+def test_exact_half_marginals_do_not_mirror_under_relabeling():
+    # n * c1 / (n - m) = 5 / 2 rounds up to 3 on both sides of the swap
+    x, design = ExperimentData(1, 2, 1, 1), CompletelyRandomized(3, 5)
+    assert estimate_marginals(x, design) == Marginals(2, 3, 5)
+    assert estimate_marginals(x.relabeled(), design) == Marginals(3, 3, 5)
