@@ -8,7 +8,9 @@ deterministic so that downstream reports are reproducible byte for byte.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -31,14 +33,21 @@ class BudgetExceededError(RuntimeError):
     """Raised when a computation would exceed its documented size guard."""
 
 
-def _check_counts(name: str, values: tuple[int, ...]) -> None:
-    for v in values:
+def _check_counts(counts: object) -> None:
+    """Validate a frozen dataclass of counts and store each one as a Python int."""
+    name, total = type(counts).__name__, 0
+    for field in dataclasses.fields(counts):
+        v = getattr(counts, field.name)
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
             raise ValueError(f"{name} counts must be integers, got {v!r}")
         if v < 0:
             raise ValueError(f"{name} counts must be non-negative, got {v}")
-    if sum(values) > MAX_N:
-        raise ValueError(f"{name} total {sum(values)} exceeds the cap of {MAX_N}")
+        if type(v) is not int:  # numpy integers add in their own dtype and wrap
+            v = operator.index(v)
+            object.__setattr__(counts, field.name, v)
+        total += v
+    if total > MAX_N:
+        raise ValueError(f"{name} total {total} exceeds the cap of {MAX_N}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +65,7 @@ class Theta:
     nt: int
 
     def __post_init__(self) -> None:
-        _check_counts("Theta", (self.at, self.co, self.de, self.nt))
+        _check_counts(self)
 
     @property
     def n(self) -> int:
@@ -94,7 +103,7 @@ class ExperimentData:
     c0: int  # no takeup in control
 
     def __post_init__(self) -> None:
-        _check_counts("ExperimentData", (self.i1, self.i0, self.c1, self.c0))
+        _check_counts(self)
 
     @property
     def n(self) -> int:
@@ -141,7 +150,7 @@ class CompletelyRandomized:
     n: int
 
     def __post_init__(self) -> None:
-        _check_counts("CompletelyRandomized", (self.m, self.n))
+        _check_counts(self)
         if self.m > self.n:
             raise ValueError(f"need m <= n, got m={self.m} n={self.n}")
 
@@ -220,7 +229,7 @@ class ThetaIndex:
     def flat(self, theta: Theta) -> int:
         if theta.n != self.n:
             raise ValueError(f"theta has n={theta.n}, index built for n={self.n}")
-        return int(self.flatten(int(theta.at), int(theta.co), int(theta.de)))
+        return int(self.flatten(theta.at, theta.co, theta.de))
 
 
 @functools.lru_cache(maxsize=16)

@@ -36,6 +36,12 @@ BAYES_MAX_N_BERNOULLI = 24
 # Heatmaps beyond this size run only when explicitly forced.
 HEATMAP_MAX_N = 60
 
+# Fisher's p = fl(fl(I) / fl(T)) of exact integer weights I <= T carries three
+# roundings of relative size at most u = 2**-53, so it lies within a factor
+# 1 +- 3.0001u of I/T, and the literal 0.05 lies within 0.5u above 1/20.  Beyond
+# 4u of 0.05 the test p <= 0.05 thus decides I * 20 <= T; inside, I and T decide.
+FISHER_WINDOW = 0.05 * 4 * 2.0**-53
+
 WeightedGuess = Sequence[tuple[Theta, float]]
 
 # A decision rule maps one data realization, with its assignment-count box,
@@ -211,6 +217,18 @@ def rule_comparison_curve(n_values: Sequence[int]) -> list[RuleComparisonRow]:
     return rows
 
 
+def _fisher_weights(x: ExperimentData) -> tuple[int, int]:
+    """Exact hypergeometric weights of the tables no likelier than x, and of all."""
+    n = x.n
+    m = x.intervention_size
+    takers = x.i1 + x.c1
+    lo = max(0, takers - (n - m))
+    hi = min(m, takers)
+    weights = [math.comb(m, k) * math.comb(n - m, takers - k) for k in range(lo, hi + 1)]
+    observed = weights[x.i1 - lo]
+    return sum(w for w in weights if w <= observed), sum(weights)  # C(n, takers)
+
+
 def fisher_exact_p(x: ExperimentData) -> float:
     """Two-sided Fisher exact p-value for the arm-by-outcome table.
 
@@ -220,20 +238,12 @@ def fisher_exact_p(x: ExperimentData) -> float:
     probability compare equal; only the final ratio is rounded, which needs
     C(n, i1 + c1) within float64 range (n <= 1029 always is).
     """
-    n = x.n
-    m = x.intervention_size
-    takers = x.i1 + x.c1
-    lo = max(0, takers - (n - m))
-    hi = min(m, takers)
-    weights = [math.comb(m, k) * math.comb(n - m, takers - k) for k in range(lo, hi + 1)]
-    total = sum(weights)  # C(n, takers)
+    included, total = _fisher_weights(x)
     if total > sys.float_info.max:
         raise BudgetExceededError(
-            f"Fisher's exact test needs C({n}, {takers}) within float64 range; "
+            f"Fisher's exact test needs C({x.n}, {x.i1 + x.c1}) within float64 range; "
             f"it exceeds the float64 maximum {sys.float_info.max:.6g}"
         )
-    observed = weights[x.i1 - lo]
-    included = sum(w for w in weights if w <= observed)
     return float(included) / float(total)
 
 
@@ -259,6 +269,10 @@ def _heatmap_cell(n: int, m: int, i1: int, c1: int) -> HeatmapCell:
         key="ACDN".index,
     )
     p = fisher_exact_p(x)
+    reject = p <= 0.05
+    if abs(p - 0.05) <= FISHER_WINDOW:  # rounding could have moved p across 0.05
+        included, total = _fisher_weights(x)
+        reject = included * 20 <= total
     return HeatmapCell(
         i1=i1,
         c1=c1,
@@ -266,7 +280,7 @@ def _heatmap_cell(n: int, m: int, i1: int, c1: int) -> HeatmapCell:
         defier_count=max(theta.de for theta in ties),
         type_signature="".join(letters),
         fisher_p=p,
-        fisher_reject_5=p <= 0.05,
+        fisher_reject_5=reject,
     )
 
 

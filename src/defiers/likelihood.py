@@ -47,7 +47,8 @@ ORACLE_MAX_N = 20
 # in float64 range: each entry is at most C(n, n//2), so the grid sum is at most
 # C(n+3, 3) * C(n, n//2), 10^307.66 at n=1000; the bound first exceeds the
 # float64 maximum (10^308.25) at n=1002.  Fill scratch beside the box is small:
-# 256 KB of products and ``head``, (i1+1)(c0+1)(c1+1) cells (4.2 MB at n=612).
+# 256 KB of products and ``head``, (i1+1)(c0+1)(c1+1) cells (4.2 MB at n=612);
+# the posterior's is a few 4 MB chunks and its top block (6.7 MB at n=612).
 GRID_MAX_N = 1000
 
 # Relative gap within which two box cells may hold equal exact counts, for any

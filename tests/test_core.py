@@ -27,6 +27,20 @@ def test_theta_validation():
         Theta(100_001, 0, 0, 0)
 
 
+def test_numpy_counts_are_stored_as_python_ints():
+    # in their own dtype, uint8 200 + 100 wraps to 44 and uint16 60,000 +
+    # 50,000 to 44,464, under the cap
+    narrow = (np.uint8(200), np.uint8(100), 0, 0)
+    for counts in (Theta(*narrow), ExperimentData(*narrow)):
+        assert counts.n == 300
+        assert all(type(c) is int for c in counts.counts())
+    design = CompletelyRandomized(np.uint8(200), np.uint8(250))
+    assert (type(design.m), type(design.n)) == (int, int)
+    for make in (Theta, ExperimentData):
+        with pytest.raises(ValueError, match="total 110000 exceeds the cap"):
+            make(np.uint16(60_000), np.uint16(50_000), 0, 0)
+
+
 def test_types_present_and_relabel():
     assert Theta(1, 0, 2, 0).types_present() == "AD"
     assert Theta(0, 0, 0, 5).types_present() == "N"

@@ -182,20 +182,19 @@ def test_fisher_exact_johnson():
     assert p < 0.001
 
 
-def test_fisher_exact_against_direct_summation():
-    # independent implementation with Fractions
-    def fisher_fraction(x):
-        n, m, K = x.n, x.i1 + x.i0, x.i1 + x.c1
-        lo, hi = max(0, K - (n - m)), min(m, K)
-        weights = {
-            k: math.comb(m, k) * math.comb(n - m, K - k) for k in range(lo, hi + 1)
-        }
-        obs = weights[x.i1]
-        total = sum(weights.values())
-        return float(
-            Fraction(sum(w for w in weights.values() if w <= obs), total)
-        )
+def fisher_fraction(x):
+    """Independent implementation of Fisher's p with Fractions, exactly."""
+    n, m, K = x.n, x.i1 + x.i0, x.i1 + x.c1
+    lo, hi = max(0, K - (n - m)), min(m, K)
+    weights = {
+        k: math.comb(m, k) * math.comb(n - m, K - k) for k in range(lo, hi + 1)
+    }
+    obs = weights[x.i1]
+    total = sum(weights.values())
+    return Fraction(sum(w for w in weights.values() if w <= obs), total)
 
+
+def test_fisher_exact_against_direct_summation():
     rng = np.random.default_rng(9)
     for _ in range(60):
         n = int(rng.integers(2, 30))
@@ -203,7 +202,39 @@ def test_fisher_exact_against_direct_summation():
         i1 = int(rng.integers(0, m + 1))
         c1 = int(rng.integers(0, n - m + 1))
         x = ExperimentData(i1, m - i1, c1, n - m - c1)
-        assert fisher_exact_p(x) == pytest.approx(fisher_fraction(x), rel=1e-9)
+        assert fisher_exact_p(x) == pytest.approx(float(fisher_fraction(x)), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "window,rounded_p,reads_per_cell",
+    [(evaluation.FISHER_WINDOW, None, 1), (1.0, None, 2), (evaluation.FISHER_WINDOW, 0.05, 1)],
+)
+def test_heatmap_fisher_flag_is_the_exact_rule(monkeypatch, window, rounded_p, reads_per_cell):
+    # Every half-treated table with n <= 40 against p <= 1/20 in exact
+    # rationals.  fisher_exact_p reads the weights once per cell and a recount
+    # again: no p here lies within the derived window, a window of 1 recounts
+    # every cell, and so does a p rounded onto 0.05, which alone would flag
+    # every cell.
+    reads = []
+
+    def weights(x):
+        reads.append(x)
+        return real_weights(x)
+
+    real_weights = evaluation._fisher_weights
+    monkeypatch.setattr(evaluation, "FISHER_WINDOW", window)
+    monkeypatch.setattr(evaluation, "_fisher_weights", weights)
+    if rounded_p is not None:
+        monkeypatch.setattr(evaluation, "fisher_exact_p", lambda x: rounded_p)
+    cells = 0
+    for n in range(2, 41, 2):
+        m = n // 2
+        for row in heatmap(n, m):
+            for cell in row:
+                x = ExperimentData(cell.i1, m - cell.i1, cell.c1, n - m - cell.c1)
+                assert cell.fisher_reject_5 == (fisher_fraction(x) <= Fraction(1, 20))
+                cells += 1
+    assert len(reads) == reads_per_cell * cells
 
 
 def test_fisher_transpose_symmetry():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,7 +299,7 @@ GROWN_AND_CUT = [
 ]
 
 # (table, level) pairs on which the block ends below the boundary mass, so
-# the boundary value is looked up in the block alone.
+# no entry past the block reaches that mass.
 INSIDE_THE_BLOCK = [
     ((4, 3, 2, 5), 0.95),
     ((10, 10, 5, 15), 0.5),
@@ -306,7 +307,7 @@ INSIDE_THE_BLOCK = [
 
 # A table and level on which the block ends with the boundary mass, and the
 # next, smaller count divides by the normaliser to that same mass, so the
-# boundary value must be looked up in the whole array.
+# entries of that mass must be gathered from past the block too.
 MASS_TIE_PAST_THE_BLOCK = ((52, 12, 13, 22), 0.003130930414093042)
 
 
@@ -343,6 +344,10 @@ def test_cases_find_the_boundary_value_in_the_block_or_the_whole_array(counts, l
 @example(counts=(94, 20, 179, 9), level=0.95)  # n > FULL_TABLE_MAX_N
 @example(counts=(0, 5, 0, 7), level=0.25)  # v * total rounds above the boundary value
 def test_posterior_is_a_prefix_of_the_full_sort(counts, level):
+    assert_prefix_of_the_full_sort(counts, level)
+
+
+def assert_prefix_of_the_full_sort(counts, level):
     x = ExperimentData(*counts)
     post = posterior(x, CompletelyRandomized(x.i1 + x.i0, x.n), level)
     full = full_sort_posterior(x, level)
@@ -356,6 +361,72 @@ def test_posterior_is_a_prefix_of_the_full_sort(counts, level):
     want = smallest_credible_set(full, level)
     assert got == want
     assert got.achieved_mass.hex() == want.achieved_mass.hex()
+
+
+@pytest.mark.parametrize(
+    "counts,level,chunk",
+    [(*case, 7) for case in (*GROWN_AND_CUT, *INSIDE_THE_BLOCK, MASS_TIE_PAST_THE_BLOCK)]
+    + [((94, 20, 179, 9), 0.95, 4096)],  # n > FULL_TABLE_MAX_N
+)
+def test_posterior_streamed_in_small_chunks_is_a_prefix_of_the_full_sort(
+    monkeypatch, counts, level, chunk
+):
+    # With chunks of a few cells every pass over the box and every normaliser
+    # run spans many chunks; the cases also grow the block and gather entries
+    # of the boundary mass from past it (see the case lists above).
+    monkeypatch.setattr(inference, "_CHUNK", chunk)
+    assert_prefix_of_the_full_sort(counts, level)
+
+
+def test_posterior_drops_values_just_below_the_boundary_mass(monkeypatch):
+    # On this made-up box a value 4u below the boundary value (u = 2**-53)
+    # passes the gather's cut, 8u below, but its mass is smaller, so the
+    # exact mass test must drop it.
+    box = np.zeros(assignment_count_grid(SIX).shape)
+    at, co, de = np.indices(box.shape)
+    box[at + co + de <= SIX.n] = 1.0
+    box[0, 0, 0] = 1.0 - 2.0**-51
+    monkeypatch.setattr(inference, "_cached_grid", lambda x: box)
+    post = posterior(SIX, CR6, 0.5)
+    assert post.entry_count == np.count_nonzero(box == 1.0)
+    assert np.all(post.mass == post.mass[0])
+
+
+@pytest.mark.parametrize("chunk", [1, 100, 4096, 100_000])
+@pytest.mark.parametrize("size", [1, 7, 8, 127, 128, 129, 12_345, 1_000_007])
+def test_tree_sum_is_numpys_pairwise_sum(monkeypatch, size, chunk):
+    # _tree_sum copies the tree of numpy's pairwise add.reduce; a numpy whose
+    # tree differs would move the normaliser's bits, and fails here first.
+    # Signed values of mixed magnitude cancel, so the sum's bits depend on
+    # where the tree splits.
+    rng = np.random.default_rng(size)
+    values = rng.standard_normal(size) * 2.0 ** rng.integers(-20, 21, size)
+    read = 0
+
+    def take(k):
+        nonlocal read
+        read += k
+        return values[read - k : read]
+
+    monkeypatch.setattr(inference, "_CHUNK", chunk)
+    assert inference._tree_sum(take, size).hex() == float(values.sum()).hex()
+    assert read == size
+
+
+@pytest.mark.parametrize("counts", [(69, 237, 26, 280), (100, 50, 20, 130)])
+def test_posterior_scratch_stays_small_beside_the_box(counts):
+    # The smoking table (n=612) sums positive cells; (100,50,20,130) at n=300
+    # sums every canonical position.  Copying every value made 69.5 MB and
+    # 65.6 MB of scratch on them.
+    x = ExperimentData(*counts)
+    inference._cached_grid(x)
+    tracemalloc.start()
+    try:
+        posterior(x, CompletelyRandomized(x.i1 + x.i0, x.n), 0.95)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16_000_000
 
 
 def test_unconfirmed_maximizer_tie_reaches_both_reports(monkeypatch):
