@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -43,7 +42,7 @@ def _check_counts(counts: object) -> None:
         if v < 0:
             raise ValueError(f"{name} counts must be non-negative, got {v}")
         if type(v) is not int:  # numpy integers add in their own dtype and wrap
-            v = operator.index(v)
+            v = int(v)
             object.__setattr__(counts, field.name, v)
         total += v
     if total > MAX_N:

@@ -36,12 +36,6 @@ BAYES_MAX_N_BERNOULLI = 24
 # Heatmaps beyond this size run only when explicitly forced.
 HEATMAP_MAX_N = 60
 
-# Fisher's p = fl(fl(I) / fl(T)) of exact integer weights I <= T carries three
-# roundings of relative size at most u = 2**-53, so it lies within a factor
-# 1 +- 3.0001u of I/T, and the literal 0.05 lies within 0.5u above 1/20.  Beyond
-# 4u of 0.05 the test p <= 0.05 thus decides I * 20 <= T; inside, I and T decide.
-FISHER_WINDOW = 0.05 * 4 * 2.0**-53
-
 WeightedGuess = Sequence[tuple[Theta, float]]
 
 # A decision rule maps one data realization, with its assignment-count box,
@@ -269,10 +263,7 @@ def _heatmap_cell(n: int, m: int, i1: int, c1: int) -> HeatmapCell:
         key="ACDN".index,
     )
     p = fisher_exact_p(x)
-    reject = p <= 0.05
-    if abs(p - 0.05) <= FISHER_WINDOW:  # rounding could have moved p across 0.05
-        included, total = _fisher_weights(x)
-        reject = included * 20 <= total
+    included, total = _fisher_weights(x)  # p is rounded; the flag reads the integers
     return HeatmapCell(
         i1=i1,
         c1=c1,
@@ -280,7 +271,7 @@ def _heatmap_cell(n: int, m: int, i1: int, c1: int) -> HeatmapCell:
         defier_count=max(theta.de for theta in ties),
         type_signature="".join(letters),
         fisher_p=p,
-        fisher_reject_5=reject,
+        fisher_reject_5=included * 20 <= total,
     )
 
 

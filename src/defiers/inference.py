@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -226,12 +226,6 @@ def _normaliser(box: np.ndarray, index: ThetaIndex) -> float:
     return _tree_sum(take, index.size if full else np.count_nonzero(box))
 
 
-def _chunks(a: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Runs of at most ``_CHUNK`` cells of ``a`` in C order, with their offsets."""
-    flat = a.reshape(-1)
-    return ((s, flat[s : s + _CHUNK]) for s in range(0, flat.size, _CHUNK))
-
-
 def posterior(x: ExperimentData, design: Design, level: float) -> PosteriorTable:
     """Posterior masses proportional to the likelihood, down to the level's boundary.
 
@@ -242,14 +236,15 @@ def posterior(x: ExperimentData, design: Design, level: float) -> PosteriorTable
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0,1), got {level}")
     box = _cached_grid(x)
-    index = theta_index(x.n)
+    index, flat = theta_index(x.n), box.reshape(-1)
+    starts = range(0, flat.size, _CHUNK)
     total = _normaliser(box, index)
     assert total > 0.0, "saturated theta always has positive likelihood"
     # No fewer than level / (top mass) entries can reach the level.
     size = math.ceil(level / (box.max() / total))
     while True:
         kept, floor = np.empty(0), 0.0
-        for _, part in _chunks(box):  # keep the size largest positive values
+        for part in (flat[s : s + _CHUNK] for s in starts):  # the size largest positive
             kept = np.concatenate((kept, part[part > floor]))  # floor: the kept minimum
             if kept.size > size:
                 kept.partition(kept.size - size)
@@ -266,8 +261,8 @@ def posterior(x: ExperimentData, design: Design, level: float) -> PosteriorTable
     # u = 2**-53; the cut, 8u below v * total, stays below that after its own
     # two roundings.
     cut = v * total * (1.0 - 2.0**-50)
-    near = np.concatenate([np.flatnonzero(p >= cut) + s for s, p in _chunks(box)])
-    coords = np.unravel_index(near[box.reshape(-1)[near] / total >= v], box.shape)
+    near = np.concatenate([np.flatnonzero(flat[s : s + _CHUNK] >= cut) + s for s in starts])
+    coords = np.unravel_index(near[flat[near] / total >= v], box.shape)
     block = box[coords]
     order = np.lexsort((index.flatten(*coords), -block))
     at, co, de = (axis[order].astype(np.uint32) for axis in coords)

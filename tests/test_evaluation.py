@@ -205,36 +205,19 @@ def test_fisher_exact_against_direct_summation():
         assert fisher_exact_p(x) == pytest.approx(float(fisher_fraction(x)), rel=1e-9)
 
 
-@pytest.mark.parametrize(
-    "window,rounded_p,reads_per_cell",
-    [(evaluation.FISHER_WINDOW, None, 1), (1.0, None, 2), (evaluation.FISHER_WINDOW, 0.05, 1)],
-)
-def test_heatmap_fisher_flag_is_the_exact_rule(monkeypatch, window, rounded_p, reads_per_cell):
+@pytest.mark.parametrize("rounded_p", [None, 0.05])
+def test_heatmap_fisher_flag_is_the_exact_rule(monkeypatch, rounded_p):
     # Every half-treated table with n <= 40 against p <= 1/20 in exact
-    # rationals.  fisher_exact_p reads the weights once per cell and a recount
-    # again: no p here lies within the derived window, a window of 1 recounts
-    # every cell, and so does a p rounded onto 0.05, which alone would flag
-    # every cell.
-    reads = []
-
-    def weights(x):
-        reads.append(x)
-        return real_weights(x)
-
-    real_weights = evaluation._fisher_weights
-    monkeypatch.setattr(evaluation, "FISHER_WINDOW", window)
-    monkeypatch.setattr(evaluation, "_fisher_weights", weights)
+    # rationals, also with every p rounded onto 0.05, where a test of p alone
+    # would flag every cell.
     if rounded_p is not None:
         monkeypatch.setattr(evaluation, "fisher_exact_p", lambda x: rounded_p)
-    cells = 0
     for n in range(2, 41, 2):
         m = n // 2
         for row in heatmap(n, m):
             for cell in row:
                 x = ExperimentData(cell.i1, m - cell.i1, cell.c1, n - m - cell.c1)
                 assert cell.fisher_reject_5 == (fisher_fraction(x) <= Fraction(1, 20))
-                cells += 1
-    assert len(reads) == reads_per_cell * cells
 
 
 def test_fisher_transpose_symmetry():

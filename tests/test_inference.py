@@ -326,10 +326,15 @@ def test_cases_grow_the_block_and_cut_the_boundary_run(counts, level):
     + [(*case, False) for case in (*GROWN_AND_CUT, MASS_TIE_PAST_THE_BLOCK)],
 )
 def test_cases_find_the_boundary_value_in_the_block_or_the_whole_array(counts, level, in_block):
-    full = full_sort_posterior(ExperimentData(*counts), level)
+    # posterior's gather pass scans the whole box for entries of the boundary
+    # mass: on the first cases they all lie in the kept block, on the others
+    # some lie past it, where only that scan finds them
+    x = ExperimentData(*counts)
+    full = full_sort_posterior(x, level)
     size, k = settled_block(full, level)
-    # the block alone suffices when its smallest mass is below the boundary mass
     assert (full.mass[size - 1] < full.mass[k]) == in_block
+    post = posterior(x, CompletelyRandomized(x.i1 + x.i0, x.n), level)
+    assert (post.entry_count <= size) == in_block
 
 
 @settings(max_examples=150, deadline=None)
