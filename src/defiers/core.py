@@ -33,8 +33,8 @@ class BudgetExceededError(RuntimeError):
 
 
 def _check_counts(counts: object) -> None:
-    """Validate a frozen dataclass of counts and store each one as a Python int."""
-    name, total = type(counts).__name__, 0
+    """Validate a frozen dataclass of counts, store them as Python ints, cap its ``n``."""
+    name = type(counts).__name__
     for field in dataclasses.fields(counts):
         v = getattr(counts, field.name)
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
@@ -42,11 +42,9 @@ def _check_counts(counts: object) -> None:
         if v < 0:
             raise ValueError(f"{name} counts must be non-negative, got {v}")
         if type(v) is not int:  # numpy integers add in their own dtype and wrap
-            v = int(v)
-            object.__setattr__(counts, field.name, v)
-        total += v
-    if total > MAX_N:
-        raise ValueError(f"{name} total {total} exceeds the cap of {MAX_N}")
+            object.__setattr__(counts, field.name, int(v))
+    if counts.n > MAX_N:
+        raise ValueError(f"{name} total {counts.n} exceeds the cap of {MAX_N}")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 The scan works on the float64 likelihood's support box
 (``assignment_count_grid``) and converts only what it returns to canonical
-flat indices; any maximizer or boundary candidates that the float values
-cannot separate are re-checked with exact integer assignment counts.
+flat indices.  Maximizer suspects and the credible boundary's tie run are
+ordered by exact counts from ``_exact_counts``: the box values themselves
+where they are exact, integer recounts otherwise.
 
 ``posterior(x, design, level)`` returns a ``PosteriorTable`` that holds only
 the top of the sorted posterior: every entry with mass at or above the mass
@@ -47,15 +48,15 @@ FULL_TABLE_MAX_N = 300
 # Values the posterior reads at once, from the box or the normaliser's order.
 _CHUNK = 1 << 19  # 4 MB of float64
 
-# Exact tie confirmation is attempted on at most this many candidates; beyond
-# it, bit-equal float grouping is used and results are flagged unverified,
-# unless the maxima lie below EXACT_FLOAT_LIMIT.
+# Where box values are not exact (see the next constant), at most this many
+# cells are recounted in integers; more stay unconfirmed, grouped by bit-equal
+# float values.
 EXACT_TIE_CAP = 10_000
 
 # A box value below this is an exact count, and so is every product and partial
 # sum that formed it: each factor of a term is at least 1, so each factor and
-# partial product is at most the term, which is at most its cell.  Bit-equal
-# maxima below it are therefore the exact maximizers, with no exact recount.
+# partial product is at most the term, which is at most its cell.  Values below
+# it are their own exact counts: no recount runs and no cap applies.
 EXACT_FLOAT_LIMIT = 2.0**53
 
 
@@ -80,14 +81,19 @@ class MleResult:
         return self.maximizers[0]
 
 
-def _exact_counts(
-    at: np.ndarray, co: np.ndarray, de: np.ndarray, x: ExperimentData
-) -> list[int]:
-    """Exact assignment counts of the vectors at box coordinates (at, co, de)."""
-    return [
-        exact_assignment_count(Theta(a, c, d, x.n - a - c - d), x)
-        for a, c, d in zip(at.tolist(), co.tolist(), de.tolist())
-    ]
+def _exact_counts(values: np.ndarray, cells: tuple, x: ExperimentData) -> np.ndarray | None:
+    """Exact assignment counts of the cells at box coordinates ``cells`` = (at, co, de).
+
+    Their box ``values`` serve when there is one cell or all are exact; otherwise
+    the cells are recounted in integers, or None says there are too many to confirm.
+    """
+    if values.size == 1 or values.max() < EXACT_FLOAT_LIMIT:
+        return values
+    if values.size > EXACT_TIE_CAP:
+        return None
+    rows = zip(*(axis.tolist() for axis in cells))
+    counts = [exact_assignment_count(Theta(a, c, d, x.n - a - c - d), x) for a, c, d in rows]
+    return np.array(counts, dtype=object)
 
 
 def _argmax_ties(
@@ -113,15 +119,12 @@ def _argmax_ties(
     near = [np.unravel_index(hits, p.shape) for p, hits in zip(parts, near)]
     at, co, de = (np.concatenate(axis) for axis in zip(*near))
     flat, first = np.unique(theta_index(x.n).flatten(at, co, de), return_index=True)
-    if flat.size == 1:
-        return flat, True
-    if top < EXACT_FLOAT_LIMIT or flat.size > EXACT_TIE_CAP:
-        # Below the limit the bit-equal maxima are the exact ones; above the
-        # cap there are too many suspects to confirm, so they stay unverified.
-        return flat[box[at, co, de][first] == top], top < EXACT_FLOAT_LIMIT
-    counts = _exact_counts(at[first], co[first], de[first], x)
-    best = max(counts)
-    return flat[np.asarray([c == best for c in counts])], True
+    cells = (at[first], co[first], de[first])
+    values = box[cells]
+    counts = _exact_counts(values, cells, x)
+    if counts is None:  # too many suspects to confirm: the bit-equal maxima
+        return flat[values == top], False
+    return flat[counts == counts.max()], True
 
 
 def _thetas_from_flat(n: int, flat: np.ndarray) -> tuple[Theta, ...]:
@@ -169,6 +172,7 @@ class PosteriorTable:
     co: np.ndarray
     de: np.ndarray
     mass: np.ndarray
+    value: np.ndarray  # the entries' box values; mass is value / normaliser
 
     @property
     def n(self) -> int:
@@ -266,7 +270,7 @@ def posterior(x: ExperimentData, design: Design, level: float) -> PosteriorTable
     block = box[coords]
     order = np.lexsort((index.flatten(*coords), -block))
     at, co, de = (axis[order].astype(np.uint32) for axis in coords)
-    return PosteriorTable(x, level, at, co, de, block[order] / total)
+    return PosteriorTable(x, level, at, co, de, block[order] / total, block[order])
 
 
 @dataclass(frozen=True)
@@ -295,11 +299,11 @@ def _boundary_members(
     Float masses that compare equal can hide exactly distinct counts, so the
     run is re-ordered by exact count (descending, canonical within blocks) and
     whole equal-count blocks are admitted until the level is reached.  A run
-    longer than ``EXACT_TIE_CAP`` is taken whole, unconfirmed.
+    whose counts cannot be confirmed is taken whole, unverified.
     """
-    if run.size > EXACT_TIE_CAP:
+    counts = _exact_counts(post.value[run], (post.at[run], post.co[run], post.de[run]), post.x)
+    if counts is None:
         return run, False
-    counts = _exact_counts(post.at[run], post.co[run], post.de[run], post.x)
     # the run is in canonical order, so a stable sort keeps it within blocks
     order = sorted(range(run.size), key=lambda i: -counts[i])
     v = float(post.mass[run[0]])
@@ -323,25 +327,18 @@ def smallest_credible_set(post: PosteriorTable, level: float) -> CredibleSummary
         raise ValueError(f"level must be in (0,{post.level}], the table's level; got {level}")
     mass = post.mass
     cum = np.cumsum(mass)
-    k = min(int(np.searchsorted(cum, level, side="left")), mass.size - 1)
-    v = mass[k]
+    v = mass[min(int(np.searchsorted(cum, level, side="left")), mass.size - 1)]
     run = np.flatnonzero(mass == v)  # the bit-equal float run holding the crossing
     run_start = int(run[0])
     pre_mass = float(cum[run_start - 1]) if run_start > 0 else 0.0
-    if run.size == 1:
-        boundary, verified = run, True
-    else:
-        boundary, verified = _boundary_members(post, run, level, pre_mass)
+    boundary, verified = _boundary_members(post, run, level, pre_mass)
     idx = np.concatenate((np.arange(run_start), boundary))
-    achieved = pre_mass + float(v) * boundary.size
-    at = post.at[idx]
-    co = post.co[idx]
-    de = post.de[idx]
-    nt = post.n - at.astype(np.int64) - co.astype(np.int64) - de.astype(np.int64)
+    at, co, de = (axis[idx].astype(np.int64) for axis in (post.at, post.co, post.de))
+    nt = post.n - at - co - de
     return CredibleSummary(
         level=level,
         member_count=int(idx.size),
-        achieved_mass=achieved,
+        achieved_mass=pre_mass + float(v) * boundary.size,
         at_range=(int(at.min()), int(at.max())),
         co_range=(int(co.min()), int(co.max())),
         de_range=(int(de.min()), int(de.max())),

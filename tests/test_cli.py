@@ -297,6 +297,12 @@ COUNTS = ["--i1", "1", "--i0", "1", "--c1", "1", "--c0", "1"]
             2,
             "Theta counts must be non-negative, got -1",
         ),
+        (  # m + n is above the cap of 100,000, n is not: the grid guard refuses
+            ["analyze", "--i1", "50000", "--i0", "0", "--c1", "0", "--c0", "10000",
+             "--m", "50000", "--quiet", "--out-dir", "{tmp}/out"],
+            3,
+            "full likelihood grid at n=60000 exceeds the guard of 1000",
+        ),
     ],
 )
 def test_error_exit_table(tmp_path, capsys, argv, code, line):

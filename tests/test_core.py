@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from defiers.core import (
+    MAX_N,
     Bernoulli,
     CompletelyRandomized,
     ExperimentData,
@@ -39,6 +40,14 @@ def test_numpy_counts_are_stored_as_python_ints():
     for make in (Theta, ExperimentData):
         with pytest.raises(ValueError, match="total 110000 exceeds the cap"):
             make(np.uint16(60_000), np.uint16(50_000), 0, 0)
+
+
+def test_design_cap_applies_to_n_not_m_plus_n():
+    design = CompletelyRandomized(60_000, 60_000)
+    assert (design.m, design.n) == (60_000, 60_000)
+    assert CompletelyRandomized(np.int32(MAX_N), np.int32(MAX_N)).n == MAX_N
+    with pytest.raises(ValueError, match=f"total {MAX_N + 1} exceeds the cap of {MAX_N}"):
+        CompletelyRandomized(0, MAX_N + 1)
 
 
 def test_types_present_and_relabel():

@@ -64,12 +64,12 @@ def test_mle_two_way_tie_midline(monkeypatch):
     x = ExperimentData(50, 50, 20, 80)
     recounts = []
 
-    def exact_counts(*args):
-        recounts.append(len(args[0]))
-        return real_exact_counts(*args)
+    def exact_count(theta, x):
+        recounts.append(theta)
+        return real_exact_count(theta, x)
 
-    real_exact_counts = inference._exact_counts
-    monkeypatch.setattr(inference, "_exact_counts", exact_counts)
+    real_exact_count = inference.exact_assignment_count
+    monkeypatch.setattr(inference, "exact_assignment_count", exact_count)
     result = mle(x, CompletelyRandomized(100, 200))
     assert recounts
     assert len(result.maximizers) == 2
@@ -272,6 +272,7 @@ def full_sort_posterior(x, level):
         co.astype(np.uint32),
         de.astype(np.uint32),
         values[order] / total,
+        values[order],
     )
 
 
@@ -325,7 +326,7 @@ def test_cases_grow_the_block_and_cut_the_boundary_run(counts, level):
     [(*case, True) for case in INSIDE_THE_BLOCK]
     + [(*case, False) for case in (*GROWN_AND_CUT, MASS_TIE_PAST_THE_BLOCK)],
 )
-def test_cases_find_the_boundary_value_in_the_block_or_the_whole_array(counts, level, in_block):
+def test_cases_end_inside_or_past_the_kept_block(counts, level, in_block):
     # posterior's gather pass scans the whole box for entries of the boundary
     # mass: on the first cases they all lie in the kept block, on the others
     # some lie past it, where only that scan finds them
@@ -357,7 +358,7 @@ def assert_prefix_of_the_full_sort(counts, level):
     post = posterior(x, CompletelyRandomized(x.i1 + x.i0, x.n), level)
     full = full_sort_posterior(x, level)
     k = post.entry_count
-    for name in ("at", "co", "de", "mass"):
+    for name in ("at", "co", "de", "mass", "value"):
         assert np.array_equal(getattr(post, name), getattr(full, name)[:k])
     # the prefix holds every entry of the boundary mass or more
     v = full.mass[min(int(np.searchsorted(np.cumsum(full.mass), level)), full.entry_count - 1)]
@@ -476,31 +477,39 @@ def test_unconfirmed_fallback_keeps_only_the_bit_equal_maxima(monkeypatch):
 
 
 def test_credible_boundary_run_above_the_cap_is_taken_whole(monkeypatch):
-    # the boundary run of this table holds two entries; above the cap they are
-    # admitted together without exact counting
+    # the boundary run of this table holds two entries; with the limit at 0 and
+    # above the cap they are admitted together without exact counting
     counts, level = GROWN_AND_CUT[0]
     post = posterior(ExperimentData(*counts), CompletelyRandomized(4, 12), level)
     confirmed = smallest_credible_set(post, level)
 
-    def no_exact_counts(*args):
+    def no_exact_count(*args):
         raise AssertionError("exact counts are not taken above the cap")
 
     monkeypatch.setattr(inference, "EXACT_TIE_CAP", 1)
-    monkeypatch.setattr(inference, "_exact_counts", no_exact_counts)
+    monkeypatch.setattr(inference, "EXACT_FLOAT_LIMIT", 0.0)
+    monkeypatch.setattr(inference, "exact_assignment_count", no_exact_count)
     summary = smallest_credible_set(post, level)
     assert confirmed.boundary_verified_exact
     assert summary == dataclasses.replace(confirmed, boundary_verified_exact=False)
     assert summary.member_count == post.entry_count == 41
 
 
-def test_credible_boundary_run_above_the_cap_on_real_input():
+def test_credible_boundary_run_above_the_cap_on_real_input(monkeypatch):
     # with no one assigned to intervention, all 10,201 vectors with at + de = 100
     # produce the data in the one assignment, so the boundary run is all of them
     x = ExperimentData(0, 0, 100, 100)
-    summary = smallest_credible_set(posterior(x, CompletelyRandomized(0, 200), 0.95), 0.95)
+    post = posterior(x, CompletelyRandomized(0, 200), 0.95)
+    summary = smallest_credible_set(post, 0.95)
     assert summary.member_count == 10_201
-    # equal masses need not come from equal counts, so the run stays unconfirmed
-    assert not summary.boundary_verified_exact
+    assert summary.achieved_mass.hex() == "0x1.fffffffffffffp-1"
+    # the run is longer than the cap, but its values (all 1) lie below 2**53,
+    # so they are its exact counts and the run is confirmed
+    assert summary.boundary_verified_exact
+    monkeypatch.setattr(inference, "EXACT_FLOAT_LIMIT", 1.0)  # the run's count is 1
+    assert smallest_credible_set(post, 0.95) == dataclasses.replace(
+        summary, boundary_verified_exact=False
+    )
 
 
 def test_bit_equal_maxima_below_the_exact_float_limit_are_exact_ties(monkeypatch):
@@ -523,6 +532,7 @@ def test_unconfirmed_credible_boundary_reaches_both_reports(monkeypatch):
     assert "boundary_verified_exact" not in report_to_json(confirmed)
     assert "not confirmed" not in render_text(confirmed)
     monkeypatch.setattr(inference, "EXACT_TIE_CAP", 1)
+    monkeypatch.setattr(inference, "EXACT_FLOAT_LIMIT", 0.0)
     report = analyze(request)
     assert not report.credible.boundary_verified_exact
     assert report.mle.tie_verified_exact
@@ -539,13 +549,14 @@ def test_boundary_blocks_stop_once_the_level_is_reached(monkeypatch):
     assert confirmed.member_count == 28  # the run is entries 26 and 27
     runs = []
 
-    def two_counts(at, co, de, x):
-        runs.append(len(at))
-        return [1, 2]
+    def two_counts(theta, x):
+        runs.append(theta)
+        return len(runs)  # 1, then 2
 
-    monkeypatch.setattr(inference, "_exact_counts", two_counts)
+    monkeypatch.setattr(inference, "EXACT_FLOAT_LIMIT", 0.0)
+    monkeypatch.setattr(inference, "exact_assignment_count", two_counts)
     summary = smallest_credible_set(post, 0.95)
-    assert runs == [2]
+    assert runs == [_theta(post, 26), _theta(post, 27)]
     assert summary.member_count == 27
     assert summary.boundary_verified_exact
     assert summary.achieved_mass == float(np.cumsum(post.mass)[26])
@@ -572,17 +583,56 @@ def test_argmax_ties_match_the_exact_argmax(counts, monotone, limit):
     box = assignment_count_grid(x)
     recounts = []
 
-    def exact_counts(*args):
+    def exact_count(theta, x):
         assert box.max() >= limit, "bit equality decides ties below the limit"
-        recounts.append(len(args[0]))
-        return real_exact_counts(*args)
+        recounts.append(theta)
+        return real_exact_count(theta, x)
 
-    real_exact_counts = inference._exact_counts
+    real_exact_count = inference.exact_assignment_count
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(inference, "EXACT_FLOAT_LIMIT", limit)
-        patch.setattr(inference, "_exact_counts", exact_counts)
+        patch.setattr(inference, "exact_assignment_count", exact_count)
         flat, verified = _argmax_ties(box, x, monotone)
     assert flat.tolist() == want
     assert verified
     if box.max() >= limit and len(want) > 1:
         assert recounts
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=tables(), level=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(counts=(0, 3, 2, 2), level=0.95)  # a two-entry boundary run
+@example(counts=(0, 0, 20, 20), level=0.5)  # 441 maximizers tie at count 1
+def test_exact_values_and_integer_recounts_agree(counts, level):
+    # Below 2**53 (every table with n <= 40) the box values are the exact
+    # counts; with the limit at 0 every tie is recounted in integers instead.
+    # Both routes must give the same maximizers and the same credible set.
+    x = ExperimentData(*counts)
+    design = CompletelyRandomized(x.i1 + x.i0, x.n)
+    post = posterior(x, design, level)
+
+    def run():
+        sets = (mle(x, design), monotonicity_mle(x, design), smallest_credible_set(post, level))
+        assert all(s.tie_verified_exact for s in sets[:2]) and sets[2].boundary_verified_exact
+        return sets, sets[2].achieved_mass.hex()
+
+    by_values = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "EXACT_FLOAT_LIMIT", 0.0)
+        assert run() == by_values
+
+
+def test_no_exact_recount_below_the_exact_float_limit(monkeypatch):
+    # The six-person credible boundary run holds several entries; all values
+    # lie below 2**53, so neither the maxima nor the boundary are recounted.
+    post = posterior(SIX, CR6, 0.95)
+    run = np.flatnonzero(post.mass == post.mass[smallest_credible_set(post, 0.95).member_count - 1])
+    assert run.size > 1
+
+    def no_exact_count(*args):
+        raise AssertionError("no exact recount below the limit")
+
+    monkeypatch.setattr(inference, "exact_assignment_count", no_exact_count)
+    assert mle(SIX, CR6).tie_verified_exact
+    assert monotonicity_mle(SIX, CR6).tie_verified_exact
+    assert smallest_credible_set(post, 0.95).boundary_verified_exact
