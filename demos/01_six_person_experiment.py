@@ -42,7 +42,7 @@ print(
 print("candidate (at, co, de, nt)   assignments yielding the data   likelihood")
 for d in family.defier_range():
     theta = theta_at_defiers(family, d)
-    count = oracle_assignment_count(theta, x, design.m)
+    count = oracle_assignment_count(theta, x)
     frac = Fraction(count, total)
     print(
         f"  {str(theta.counts()):18s}   {count:2d} of {total}"
@@ -59,7 +59,7 @@ print(
 mono = monotonicity_mle(x, design)
 print(
     f"\nbest no-defier/no-complier candidate: {mono.estimate.counts()} "
-    f"({oracle_assignment_count(mono.estimate, x, design.m)} of {total} assignments)"
+    f"({oracle_assignment_count(mono.estimate, x)} of {total} assignments)"
 )
 print(
     "  ruling out defiers by assumption would conceal the higher-likelihood "

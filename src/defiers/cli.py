@@ -60,8 +60,11 @@ def _progress(args: argparse.Namespace):
 
 
 def _load_request_inputs(args: argparse.Namespace) -> tuple[Design, ExperimentData]:
-    """Design and counts from --input JSON or from the positional flags."""
+    """Design and counts from --input JSON or from the count and design flags."""
     if args.input is not None:
+        given = [f"--{k}" for k in ("i1", "i0", "c1", "c0", "m", "p") if getattr(args, k) is not None]
+        if given:
+            raise ValueError(f"--input carries the counts and design; drop {' '.join(given)}")
         path = Path(args.input)
         try:
             doc = json.loads(path.read_text())
@@ -144,9 +147,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     report = analyze(request, progress=_progress(args))
     _write(args, "report.json", report_to_json(report))
-    _write(args, "report.txt", render_text(report))
+    text = render_text(report)
+    _write(args, "report.txt", text)
     if not args.quiet:
-        print(render_text(report), end="")
+        print(text, end="")
     return EXIT_OK
 
 

@@ -121,7 +121,7 @@ def frechet_profile(fs: FrechetSet, x: ExperimentData, design: Design) -> list[P
     ]
 
 
-def profile_level_flags(rows: list[ProfileRow], level: float = 0.95) -> list[bool]:
+def profile_level_flags(rows: list[ProfileRow], level: float) -> list[bool]:
     """Mark the members of the within-set mass subset at the given level.
 
     Bars are admitted from the highest mass downward, whole tie blocks at a

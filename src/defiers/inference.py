@@ -6,12 +6,12 @@ flat indices.  Maximizer suspects and the credible boundary's tie run are
 ordered by exact counts from ``_exact_counts``: the box values themselves
 where they are exact, integer recounts otherwise.
 
-``posterior(x, design, level)`` returns a ``PosteriorTable`` that holds only
-the top of the sorted posterior: every entry with mass at or above the mass
-where the cumulative sum crosses ``level``, in descending likelihood and then
-canonical order.  ``smallest_credible_set(post, level)`` reads it at that
-level or any lower one.  It reads the box in bounded chunks and never copies
-every value: see ``_normaliser`` and ``posterior``.
+``posterior(x, level)`` returns a ``PosteriorTable`` that holds only the top
+of the sorted posterior: every entry with mass at or above the mass where the
+cumulative sum crosses ``level``, in descending likelihood and then canonical
+order.  Its masses do not depend on the design.  ``smallest_credible_set(post)``
+reads it at the table's own level.  ``posterior`` reads the box in bounded
+chunks and never copies every value: see ``_normaliser`` and ``posterior``.
 """
 from __future__ import annotations
 
@@ -175,10 +175,6 @@ class PosteriorTable:
     value: np.ndarray  # the entries' box values; mass is value / normaliser
 
     @property
-    def n(self) -> int:
-        return self.x.n
-
-    @property
     def entry_count(self) -> int:
         return int(self.mass.size)
 
@@ -230,13 +226,12 @@ def _normaliser(box: np.ndarray, index: ThetaIndex) -> float:
     return _tree_sum(take, index.size if full else np.count_nonzero(box))
 
 
-def posterior(x: ExperimentData, design: Design, level: float) -> PosteriorTable:
+def posterior(x: ExperimentData, level: float) -> PosteriorTable:
     """Posterior masses proportional to the likelihood, down to the level's boundary.
 
     The top values are kept across chunks of the box by partition, growing the
     block fourfold until its mass reaches the level; only the block is sorted.
     """
-    check_design(x, design)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0,1), got {level}")
     box = _cached_grid(x)
@@ -317,15 +312,13 @@ def _boundary_members(
     return run[taken], True
 
 
-def smallest_credible_set(post: PosteriorTable, level: float) -> CredibleSummary:
-    """Fewest-member set with posterior mass at or above the level.
+def smallest_credible_set(post: PosteriorTable) -> CredibleSummary:
+    """Fewest-member set with posterior mass at or above the table's level.
 
     Entries are accumulated from the highest mass down; where several entries
     share one mass, the whole tie block enters together.
     """
-    if not 0.0 < level <= post.level:
-        raise ValueError(f"level must be in (0,{post.level}], the table's level; got {level}")
-    mass = post.mass
+    level, mass = post.level, post.mass
     cum = np.cumsum(mass)
     v = mass[min(int(np.searchsorted(cum, level, side="left")), mass.size - 1)]
     run = np.flatnonzero(mass == v)  # the bit-equal float run holding the crossing
@@ -334,7 +327,7 @@ def smallest_credible_set(post: PosteriorTable, level: float) -> CredibleSummary
     boundary, verified = _boundary_members(post, run, level, pre_mass)
     idx = np.concatenate((np.arange(run_start), boundary))
     at, co, de = (axis[idx].astype(np.int64) for axis in (post.at, post.co, post.de))
-    nt = post.n - at - co - de
+    nt = post.x.n - at - co - de
     return CredibleSummary(
         level=level,
         member_count=int(idx.size),

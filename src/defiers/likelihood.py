@@ -14,8 +14,9 @@ Each use of the assignment count has one route:
 * the float64 grid (``assignment_count_grid``) scans: it fills the count of
   every parameter vector at once by enumerating arm compositions instead of
   parameter vectors;
-* the brute-force oracle (``oracle_assignment_count``) checks: it enumerates
-  actual randomized assignments, independently of the binomial sum.
+* the brute-force oracle (``oracle_assignment_count(theta, x)``, the shape of
+  ``exact_assignment_count``) checks: it enumerates actual randomized
+  assignments of x's arm size, independently of the binomial sum.
 """
 from __future__ import annotations
 
@@ -243,11 +244,11 @@ def oracle_data_distribution(theta: Theta, m: int) -> dict[ExperimentData, int]:
     return tally
 
 
-def oracle_assignment_count(theta: Theta, x: ExperimentData, m: int) -> int:
-    """Number of size-m assignments of theta's sample that produce x, by enumeration."""
+def oracle_assignment_count(theta: Theta, x: ExperimentData) -> int:
+    """Number of assignments of theta's sample, at x's arm size, that produce x."""
     if x.n != theta.n:
         raise ValueError(f"data n={x.n} but theta n={theta.n}")
-    return oracle_data_distribution(theta, m).get(x, 0)
+    return oracle_data_distribution(theta, x.intervention_size).get(x, 0)
 
 
 def assignment_count_grid(x: ExperimentData) -> np.ndarray:

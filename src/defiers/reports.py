@@ -96,8 +96,7 @@ def analyze(
     mle_result = mle(x, design)
     mono = monotonicity_mle(x, design)
     note("posterior and smallest credible set")
-    post = posterior(x, design, request.credible_level)
-    credible = smallest_credible_set(post, request.credible_level)
+    credible = smallest_credible_set(posterior(x, request.credible_level))
     note("profile across the estimated Fréchet set")
     rows = frechet_profile(fs, x, design)
     flags = profile_level_flags(rows, request.credible_level)

@@ -99,7 +99,7 @@ def test_criterion_02_organ_donation_application():
         flags = profile_level_flags(rows, 0.95)
         excluded = [r.defiers for r, f in zip(rows, flags) if not f]
         assert excluded == [8, 9]
-        summary = smallest_credible_set(posterior(ORGAN_X, ORGAN_CR, 0.95), 0.95)
+        summary = smallest_credible_set(posterior(ORGAN_X, 0.95))
         assert summary.de_range[1] == 34
         assert time.perf_counter() - start < 30.0
 
@@ -111,7 +111,7 @@ def test_criterion_03_smoking_application():
         assert result.maximizers == (Theta(52, 86, 0, 474),)
         mono = monotonicity_mle(SMOKE_X, SMOKE_CR)
         assert mono.maximizers == result.maximizers
-        summary = smallest_credible_set(posterior(SMOKE_X, SMOKE_CR, 0.95), 0.95)
+        summary = smallest_credible_set(posterior(SMOKE_X, 0.95))
         assert summary.de_range == (0, 71)
         elapsed = time.perf_counter() - start
         assert elapsed < 300.0  # inside even the 8-thread budget, single-threaded

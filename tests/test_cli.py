@@ -127,6 +127,13 @@ def test_analyze_bernoulli_warns(tmp_path, capsys):
     assert "warning" in err and "Bernoulli" in err
 
 
+def test_analyze_prints_the_report_text(tmp_path, capsys):
+    path = write_input(tmp_path, SIX_DOC)
+    code, out, _ = run(capsys, "analyze", "--input", path, "--out-dir", str(tmp_path))
+    assert code == 0
+    assert out.encode() == (tmp_path / "report.txt").read_bytes()
+
+
 def test_frechet_profile_cmd(tmp_path, capsys):
     path = write_input(tmp_path, SIX_DOC)
     code, _, _ = run(
@@ -302,6 +309,18 @@ COUNTS = ["--i1", "1", "--i0", "1", "--c1", "1", "--c0", "1"]
              "--m", "50000", "--quiet", "--out-dir", "{tmp}/out"],
             3,
             "full likelihood grid at n=60000 exceeds the guard of 1000",
+        ),
+        (  # the JSON's counts and design would silently win over the flags
+            ["analyze", "--input", "{tmp}/input.json", "--i1", "50", "--m", "7", "--p", "0.3",
+             "--out-dir", "{tmp}/out"],
+            2,
+            "--input carries the counts and design; drop --i1 --m --p",
+        ),
+        (
+            ["frechet-profile", "--input", "{tmp}/input.json", *COUNTS, "--m", "2",
+             "--p", "0.5", "--out-dir", "{tmp}/out"],
+            2,
+            "--input carries the counts and design; drop --i1 --i0 --c1 --c0 --m --p",
         ),
     ],
 )

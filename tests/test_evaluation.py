@@ -62,7 +62,7 @@ def oracle_mle_decide(m, n):
     thetas = list(enumerate_thetas(n))
 
     def decide(x):
-        counts = [oracle_assignment_count(t, x, m) for t in thetas]
+        counts = [oracle_assignment_count(t, x) for t in thetas]
         best = max(counts)
         ties = [t for t, c in zip(thetas, counts) if c == best]
         return [(t, Fraction(1, len(ties))) for t in ties]

@@ -89,7 +89,7 @@ GUARDS = {
         "data n=4 but theta n=1",
     ),
     "oracle_assignment_count": (
-        lambda: oracle_assignment_count(Theta(1, 0, 0, 0), X4, 1),
+        lambda: oracle_assignment_count(Theta(1, 0, 0, 0), X4),
         ValueError,
         "data n=4 but theta n=1",
     ),

@@ -51,7 +51,7 @@ def test_mle_matches_oracle_argmax_small_n():
         for i1 in range(m + 1):
             for c1 in range(n - m + 1):
                 x = ExperimentData(i1, m - i1, c1, n - m - c1)
-                counts = [oracle_assignment_count(t, x, m) for t in thetas]
+                counts = [oracle_assignment_count(t, x) for t in thetas]
                 best = max(counts)
                 expect = {t for t, c in zip(thetas, counts) if c == best}
                 got = set(mle(x, CompletelyRandomized(m, n)).maximizers)
@@ -83,7 +83,7 @@ def test_monotonicity_mle_examples():
     # C(3,2)*C(3,1) = 9 of 20 assignments, beating every other monotone vector
     result = monotonicity_mle(SIX, CR6)
     assert result.maximizers == (Theta(3, 0, 0, 3),)
-    assert oracle_assignment_count(Theta(3, 0, 0, 3), SIX, 3) == 9
+    assert oracle_assignment_count(Theta(3, 0, 0, 3), SIX) == 9
     # restriction never helps
     assert mle(SIX, CR6).log_likelihood >= result.log_likelihood
     # all maximizers satisfy the restriction
@@ -96,7 +96,7 @@ def test_monotonicity_mle_matches_restricted_oracle():
         for i1 in range(m + 1):
             for c1 in range(n - m + 1):
                 x = ExperimentData(i1, m - i1, c1, n - m - c1)
-                counts = [oracle_assignment_count(t, x, m) for t in thetas]
+                counts = [oracle_assignment_count(t, x) for t in thetas]
                 best = max(counts)
                 expect = {t for t, c in zip(thetas, counts) if c == best}
                 got = set(monotonicity_mle(x, CompletelyRandomized(m, n)).maximizers)
@@ -112,7 +112,7 @@ def test_monotonicity_all_defier_corner():
 
 def _theta(post, i):
     at, co, de = int(post.at[i]), int(post.co[i]), int(post.de[i])
-    return Theta(at, co, de, post.n - at - co - de)
+    return Theta(at, co, de, post.x.n - at - co - de)
 
 
 def _entries(post):
@@ -120,7 +120,7 @@ def _entries(post):
 
 
 def test_posterior_six_person():
-    post = posterior(SIX, CR6, 0.95)
+    post = posterior(SIX, 0.95)
     assert _theta(post, 0) == Theta(0, 4, 2, 0)
     assert 0.95 <= float(post.mass.sum()) <= 1.0
     assert np.all(np.diff(post.mass) <= 0)
@@ -133,8 +133,8 @@ def test_posterior_six_person():
 def test_posterior_holds_only_the_top_block():
     # each level keeps the entries down to its boundary mass, so a higher
     # level's table extends a lower one's
-    low = posterior(SIX, CR6, 0.5)
-    high = posterior(SIX, CR6, 0.99)
+    low = posterior(SIX, 0.5)
+    high = posterior(SIX, 0.99)
     assert 0 < low.entry_count < high.entry_count < math.comb(6 + 3, 3)
     assert np.array_equal(high.mass[: low.entry_count], low.mass)
     assert np.array_equal(high.de[: low.entry_count], low.de)
@@ -143,7 +143,7 @@ def test_posterior_holds_only_the_top_block():
 
 def test_posterior_single_subject():
     x = ExperimentData(1, 0, 0, 0)
-    post = posterior(x, CompletelyRandomized(1, 1), 0.99)
+    post = posterior(x, 0.99)
     # the zero-mass vectors (0,0,1,0) and (0,0,0,1) are never held
     assert _entries(post) == [(Theta(1, 0, 0, 0), 0.5), (Theta(0, 1, 0, 0), 0.5)]
 
@@ -151,9 +151,9 @@ def test_posterior_single_subject():
 def test_credible_set_degenerate():
     n, m = 6, 2
     x = ExperimentData(0, m, n - m, 0)
-    post = posterior(x, CompletelyRandomized(m, n), 0.5)
+    post = posterior(x, 0.5)
     assert _theta(post, 0) == Theta(0, 0, n, 0)
-    summary = smallest_credible_set(post, 0.5)
+    summary = smallest_credible_set(post)
     # the all-defier vector produces this data under every assignment and is
     # the unique positive-mass entry... unless other vectors also can; check
     assert summary.member_count >= 1
@@ -161,10 +161,10 @@ def test_credible_set_degenerate():
 
 
 def test_credible_set_minimality_and_tie_blocks():
-    # a table built for one level serves every lower level
-    post = posterior(SIX, CR6, 0.95)
     for level in (0.5, 0.8, 0.95):
-        summary = smallest_credible_set(post, level)
+        post = posterior(SIX, level)
+        summary = smallest_credible_set(post)
+        assert summary.level == level
         assert summary.achieved_mass >= level - 1e-12
         k = summary.member_count
         # removing the trailing tie block drops below the level
@@ -179,13 +179,10 @@ def test_credible_set_minimality_and_tie_blocks():
 
 
 def test_credible_set_level_validation():
-    post = posterior(SIX, CR6, 0.95)
-    for level in (0.0, 0.96, 1.0):
-        with pytest.raises(ValueError):
-            smallest_credible_set(post, level)
+    # the credible set reads the table's own level, so only posterior checks it
     for level in (0.0, 1.0):
         with pytest.raises(ValueError):
-            posterior(SIX, CR6, level)
+            posterior(SIX, level)
 
 
 def test_level_above_the_positive_mass_admits_no_zero_mass_vector():
@@ -193,7 +190,7 @@ def test_level_above_the_positive_mass_admits_no_zero_mass_vector():
     # so the set takes every positive entry and none of the 189,050 zero-mass ones
     x = ExperimentData(50, 11, 23, 31)
     level = 0.9999999999999999
-    summary = smallest_credible_set(posterior(x, CompletelyRandomized(61, 115), level), level)
+    summary = smallest_credible_set(posterior(x, level))
     assert summary.member_count == np.count_nonzero(assignment_count_grid(x)) == 77_866
     assert summary.achieved_mass < level
 
@@ -203,7 +200,7 @@ def test_organ_donation_inference():
     cr = CompletelyRandomized(61, 115)
     assert mle(x, cr).maximizers == (Theta(28, 66, 21, 0),)
     assert monotonicity_mle(x, cr).maximizers == (Theta(49, 45, 0, 21),)
-    summary = smallest_credible_set(posterior(x, cr, 0.95), 0.95)
+    summary = smallest_credible_set(posterior(x, 0.95))
     assert summary.de_range == (0, 34)
 
 
@@ -215,10 +212,10 @@ def test_analyze_keeps_only_the_last_tables_box():
 
 def test_posterior_degenerate_single_theta():
     x = ExperimentData(0, 0, 0, 0)
-    post = posterior(x, CompletelyRandomized(0, 0), 0.95)
-    assert _entries(post) == [(Theta(0, 0, 0, 0), 1.0)]
     for level in (0.25, 0.95):
-        summary = smallest_credible_set(post, level)
+        post = posterior(x, level)
+        assert _entries(post) == [(Theta(0, 0, 0, 0), 1.0)]
+        summary = smallest_credible_set(post)
         assert summary.member_count == 1
         assert summary.achieved_mass == 1.0
         assert summary.de_range == (0, 0)
@@ -248,7 +245,7 @@ def test_map_equals_mle_on_random_data():
         c1 = int(rng.integers(0, n - m + 1))
         x = ExperimentData(i1, m - i1, c1, n - m - c1)
         design = CompletelyRandomized(m, n)
-        post = posterior(x, design, 0.5)
+        post = posterior(x, 0.5)
         top_block = {t for t, mass in _entries(post) if mass == post.mass[0]}
         assert set(mle(x, design).maximizers) <= top_block
 
@@ -334,7 +331,7 @@ def test_cases_end_inside_or_past_the_kept_block(counts, level, in_block):
     full = full_sort_posterior(x, level)
     size, k = settled_block(full, level)
     assert (full.mass[size - 1] < full.mass[k]) == in_block
-    post = posterior(x, CompletelyRandomized(x.i1 + x.i0, x.n), level)
+    post = posterior(x, level)
     assert (post.entry_count <= size) == in_block
 
 
@@ -355,7 +352,7 @@ def test_posterior_is_a_prefix_of_the_full_sort(counts, level):
 
 def assert_prefix_of_the_full_sort(counts, level):
     x = ExperimentData(*counts)
-    post = posterior(x, CompletelyRandomized(x.i1 + x.i0, x.n), level)
+    post = posterior(x, level)
     full = full_sort_posterior(x, level)
     k = post.entry_count
     for name in ("at", "co", "de", "mass", "value"):
@@ -363,8 +360,8 @@ def assert_prefix_of_the_full_sort(counts, level):
     # the prefix holds every entry of the boundary mass or more
     v = full.mass[min(int(np.searchsorted(np.cumsum(full.mass), level)), full.entry_count - 1)]
     assert k == np.count_nonzero(full.mass >= v)
-    got = smallest_credible_set(post, level)
-    want = smallest_credible_set(full, level)
+    got = smallest_credible_set(post)
+    want = smallest_credible_set(full)
     assert got == want
     assert got.achieved_mass.hex() == want.achieved_mass.hex()
 
@@ -393,7 +390,7 @@ def test_posterior_drops_values_just_below_the_boundary_mass(monkeypatch):
     box[at + co + de <= SIX.n] = 1.0
     box[0, 0, 0] = 1.0 - 2.0**-51
     monkeypatch.setattr(inference, "_cached_grid", lambda x: box)
-    post = posterior(SIX, CR6, 0.5)
+    post = posterior(SIX, 0.5)
     assert post.entry_count == np.count_nonzero(box == 1.0)
     assert np.all(post.mass == post.mass[0])
 
@@ -428,7 +425,7 @@ def test_posterior_scratch_stays_small_beside_the_box(counts):
     inference._cached_grid(x)
     tracemalloc.start()
     try:
-        posterior(x, CompletelyRandomized(x.i1 + x.i0, x.n), 0.95)
+        posterior(x, 0.95)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -480,8 +477,8 @@ def test_credible_boundary_run_above_the_cap_is_taken_whole(monkeypatch):
     # the boundary run of this table holds two entries; with the limit at 0 and
     # above the cap they are admitted together without exact counting
     counts, level = GROWN_AND_CUT[0]
-    post = posterior(ExperimentData(*counts), CompletelyRandomized(4, 12), level)
-    confirmed = smallest_credible_set(post, level)
+    post = posterior(ExperimentData(*counts), level)
+    confirmed = smallest_credible_set(post)
 
     def no_exact_count(*args):
         raise AssertionError("exact counts are not taken above the cap")
@@ -489,7 +486,7 @@ def test_credible_boundary_run_above_the_cap_is_taken_whole(monkeypatch):
     monkeypatch.setattr(inference, "EXACT_TIE_CAP", 1)
     monkeypatch.setattr(inference, "EXACT_FLOAT_LIMIT", 0.0)
     monkeypatch.setattr(inference, "exact_assignment_count", no_exact_count)
-    summary = smallest_credible_set(post, level)
+    summary = smallest_credible_set(post)
     assert confirmed.boundary_verified_exact
     assert summary == dataclasses.replace(confirmed, boundary_verified_exact=False)
     assert summary.member_count == post.entry_count == 41
@@ -499,15 +496,15 @@ def test_credible_boundary_run_above_the_cap_on_real_input(monkeypatch):
     # with no one assigned to intervention, all 10,201 vectors with at + de = 100
     # produce the data in the one assignment, so the boundary run is all of them
     x = ExperimentData(0, 0, 100, 100)
-    post = posterior(x, CompletelyRandomized(0, 200), 0.95)
-    summary = smallest_credible_set(post, 0.95)
+    post = posterior(x, 0.95)
+    summary = smallest_credible_set(post)
     assert summary.member_count == 10_201
     assert summary.achieved_mass.hex() == "0x1.fffffffffffffp-1"
     # the run is longer than the cap, but its values (all 1) lie below 2**53,
     # so they are its exact counts and the run is confirmed
     assert summary.boundary_verified_exact
     monkeypatch.setattr(inference, "EXACT_FLOAT_LIMIT", 1.0)  # the run's count is 1
-    assert smallest_credible_set(post, 0.95) == dataclasses.replace(
+    assert smallest_credible_set(post) == dataclasses.replace(
         summary, boundary_verified_exact=False
     )
 
@@ -544,8 +541,8 @@ def test_boundary_blocks_stop_once_the_level_is_reached(monkeypatch):
     # the crossing entry opens a two-entry float run; given two distinct exact
     # counts, the larger one's block alone reaches the level
     x = ExperimentData(0, 3, 2, 2)
-    post = posterior(x, CompletelyRandomized(3, 7), 0.95)
-    confirmed = smallest_credible_set(post, 0.95)
+    post = posterior(x, 0.95)
+    confirmed = smallest_credible_set(post)
     assert confirmed.member_count == 28  # the run is entries 26 and 27
     runs = []
 
@@ -555,7 +552,7 @@ def test_boundary_blocks_stop_once_the_level_is_reached(monkeypatch):
 
     monkeypatch.setattr(inference, "EXACT_FLOAT_LIMIT", 0.0)
     monkeypatch.setattr(inference, "exact_assignment_count", two_counts)
-    summary = smallest_credible_set(post, 0.95)
+    summary = smallest_credible_set(post)
     assert runs == [_theta(post, 26), _theta(post, 27)]
     assert summary.member_count == 27
     assert summary.boundary_verified_exact
@@ -609,10 +606,10 @@ def test_exact_values_and_integer_recounts_agree(counts, level):
     # Both routes must give the same maximizers and the same credible set.
     x = ExperimentData(*counts)
     design = CompletelyRandomized(x.i1 + x.i0, x.n)
-    post = posterior(x, design, level)
+    post = posterior(x, level)
 
     def run():
-        sets = (mle(x, design), monotonicity_mle(x, design), smallest_credible_set(post, level))
+        sets = (mle(x, design), monotonicity_mle(x, design), smallest_credible_set(post))
         assert all(s.tie_verified_exact for s in sets[:2]) and sets[2].boundary_verified_exact
         return sets, sets[2].achieved_mass.hex()
 
@@ -625,8 +622,8 @@ def test_exact_values_and_integer_recounts_agree(counts, level):
 def test_no_exact_recount_below_the_exact_float_limit(monkeypatch):
     # The six-person credible boundary run holds several entries; all values
     # lie below 2**53, so neither the maxima nor the boundary are recounted.
-    post = posterior(SIX, CR6, 0.95)
-    run = np.flatnonzero(post.mass == post.mass[smallest_credible_set(post, 0.95).member_count - 1])
+    post = posterior(SIX, 0.95)
+    run = np.flatnonzero(post.mass == post.mass[smallest_credible_set(post).member_count - 1])
     assert run.size > 1
 
     def no_exact_count(*args):
@@ -635,4 +632,4 @@ def test_no_exact_recount_below_the_exact_float_limit(monkeypatch):
     monkeypatch.setattr(inference, "exact_assignment_count", no_exact_count)
     assert mle(SIX, CR6).tie_verified_exact
     assert monotonicity_mle(SIX, CR6).tie_verified_exact
-    assert smallest_credible_set(post, 0.95).boundary_verified_exact
+    assert smallest_credible_set(post).boundary_verified_exact

@@ -88,12 +88,17 @@ def test_design_consistency_errors():
 
 
 def test_oracle_examples():
-    assert oracle_assignment_count(Theta(0, 4, 2, 0), SIX, 3) == 12
-    assert oracle_assignment_count(Theta(1, 3, 1, 1), SIX, 3) == 6
+    assert oracle_assignment_count(Theta(0, 4, 2, 0), SIX) == 12
+    assert oracle_assignment_count(Theta(1, 3, 1, 1), SIX) == 6
     # all never takers: every assignment yields the same data
     n, m = 7, 3
     x = ExperimentData(0, m, 0, n - m)
-    assert oracle_assignment_count(Theta(0, 0, 0, n), x, m) == math.comb(n, m)
+    assert oracle_assignment_count(Theta(0, 0, 0, n), x) == math.comb(n, m)
+    # unequal arms (2 of 7): the oracle takes the arm size from x
+    x = ExperimentData(1, 1, 3, 2)
+    thetas = list(enumerate_thetas(7))
+    counts = [exact_assignment_count(t, x) for t in thetas]
+    assert [oracle_assignment_count(t, x) for t in thetas] == counts and any(counts)
     with pytest.raises(BudgetExceededError):
         oracle_data_distribution(Theta(21, 0, 0, 0), 10)
 

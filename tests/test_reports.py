@@ -97,7 +97,7 @@ def test_fmt_float_full_precision():
 def test_profile_csv_columns():
     fs = frechet_set(estimate_marginals(SIX, CR6))
     rows = frechet_profile(fs, SIX, CR6)
-    flags = profile_level_flags(rows)
+    flags = profile_level_flags(rows, 0.95)
     text = profile_csv(rows, flags)
     lines = text.strip().split("\n")
     assert lines[0] == "defiers,log_likelihood,mass,in_95_set"
@@ -145,7 +145,7 @@ def test_heatmap_svg_structure():
 def test_profile_svg_structure():
     fs = frechet_set(estimate_marginals(SIX, CR6))
     rows = frechet_profile(fs, SIX, CR6)
-    flags = profile_level_flags(rows)
+    flags = profile_level_flags(rows, 0.95)
     svg = profile_svg(rows, flags)
     assert svg.count("<rect ") == len(rows)
     assert svg.count('data-in-level="false"') == flags.count(False)
