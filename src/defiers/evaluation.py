@@ -6,6 +6,11 @@ given the truth is its probability of guessing right, and its Bayes expected
 utility averages that over a uniform prior on the parameter grid.  Everything
 here is computed by full enumeration, so results are exact up to float64
 rounding.
+
+The Bayes pass decides realizations in batches (``Batch``) whose support
+boxes share one buffer of at most ``_BATCH_CELLS`` cells; a rule decides a
+whole batch in one call.  A realization and its arm-swap mirror share one
+fill wherever the box is exact.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
+    Bernoulli,
     BudgetExceededError,
     CompletelyRandomized,
     Design,
@@ -24,9 +30,8 @@ from .core import (
     Theta,
     theta_index,
 )
-from .likelihood import _log_likelihood_of_count, assignment_count_grid
-from .inference import _argmax_ties, _thetas_from_flat
-from .frechet import estimate_marginals, frechet_set
+from .likelihood import GRID_TIE_BOUND, _log_likelihood_of_count, assignment_count_grid
+from .inference import EXACT_FLOAT_LIMIT, _argmax_ties, _exact_counts, _thetas_from_flat
 
 # Exact Bayes evaluation enumerates every (theta, data) pair; these guards
 # keep that enumeration within memory and time budgets.
@@ -36,60 +41,121 @@ BAYES_MAX_N_BERNOULLI = 24
 # Heatmaps beyond this size run only when explicitly forced.
 HEATMAP_MAX_N = 60
 
+# Box cells of one batch of the Bayes pass (1 MB); a larger box is a batch alone.
+_BATCH_CELLS = 1 << 17
+
 WeightedGuess = Sequence[tuple[Theta, float]]
 
-# A decision rule maps one data realization, with its assignment-count box,
-# to the canonical flat indices of its guesses and the weight on each (a
-# scalar when all weights are equal): rule(box, x, design) -> (flat, weight).
-DecisionRule = Callable[
-    [np.ndarray, ExperimentData, Design], tuple[np.ndarray, "float | np.ndarray"]
-]
+
+class Batch:
+    """Data realizations of one n, with their support boxes in one buffer.
+
+    ``boxes[k]`` holds ``assignment_count_grid(xs[k])`` as a view of ``buffer``
+    from ``offsets[k]`` of shape ``shapes[:, k]``; ``counts[:, k]`` is
+    ``xs[k].counts()``.  Right after its arm-swap mirror (c1, c0, i1, i0), a
+    realization takes the mirror's box transposed (compliers and defiers trade
+    places) if its top is below ``EXACT_FLOAT_LIMIT``: both fills are exact there.
+    """
+
+    def __init__(self, xs: Sequence[ExperimentData]):
+        self.xs, self.n = list(xs), xs[0].n
+        self.counts = np.array([x.counts() for x in self.xs], dtype=np.int64).T
+        i1, i0, c1, c0 = self.counts
+        self.shapes = np.stack((i1 + c1 + 1, i1 + c0 + 1, i0 + c1 + 1))
+        sizes = self.shapes.prod(axis=0)
+        self.offsets = np.cumsum(sizes) - sizes
+        self.buffer, self.boxes = np.empty(int(sizes.sum())), []
+        for k, (x, start, shape) in enumerate(zip(self.xs, self.offsets, self.shapes.T)):
+            box = self.buffer[start : start + sizes[k]].reshape(shape)
+            mirror = k > 0 and self.xs[k - 1].counts() == (x.c1, x.c0, x.i1, x.i0)
+            if mirror and self.boxes[-1].max() < EXACT_FLOAT_LIMIT:
+                box[...] = self.boxes[-1].transpose(0, 2, 1)
+            else:
+                box[...] = assignment_count_grid(x)
+            self.boxes.append(box)
 
 
-def MAX_LIKELIHOOD_RULE(
-    box: np.ndarray, x: ExperimentData, design: Design
-) -> tuple[np.ndarray, float]:
+# A decision rule decides a batch at once: rule(batch, design) -> (owner, flat,
+# weight), with, for each guess, the position in the batch of the realization
+# it is for, its canonical flat index (``theta_index(n)``) and its weight.
+DecisionRule = Callable[[Batch, Design], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _maximizers(batch: Batch, monotone: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every box's exact maximizers, with equal weights, as ``_argmax_ties`` finds them.
+
+    Suspects lie within ``GRID_TIE_BOUND`` of the box's top (over its no-defier
+    and no-complier planes when ``monotone``).  Below ``EXACT_FLOAT_LIMIT`` the
+    bit-equal maxima are the exact ones; above it ``_exact_counts`` confirms.
+    """
+    tops, hits = [], []  # hits: suspects as cells of the box's own C order
+    for box in batch.boxes:
+        _, co_n, de_n = box.shape
+        raveled = box.reshape(-1)
+        if monotone:  # planes de = 0 and co = 0, holding the corner (at, 0, 0) once
+            no_de, no_co = raveled[::de_n], box[:, 0, 1:]
+            tops.append(max(no_de.max(), no_co.max(initial=0.0)))
+            cut = tops[-1] * (1.0 - GRID_TIE_BOUND)
+            (at, de), (plane,) = (no_co >= cut).nonzero(), (no_de >= cut).nonzero()
+            hits.append(np.concatenate((plane * de_n, at * co_n * de_n + de + 1)))
+        else:
+            tops.append(raveled.max())
+            hits.append((raveled >= tops[-1] * (1.0 - GRID_TIE_BOUND)).nonzero()[0])
+    owner, local = np.repeat(np.arange(len(hits)), [h.size for h in hits]), np.concatenate(hits)
+    _, co_n, de_n = batch.shapes[:, owner]
+    cells = (local // (co_n * de_n), local // de_n % co_n, local % de_n)
+    values, top = batch.buffer[batch.offsets[owner] + local], np.array(tops)[owner]
+    keep = values == top
+    for k in set(owner[top >= EXACT_FLOAT_LIMIT].tolist()):
+        run = owner == k
+        counts = _exact_counts(values[run], tuple(c[run] for c in cells), batch.xs[k])
+        if counts is not None:  # None: too many to confirm, the bit-equal maxima stay
+            keep[run] = counts == counts.max()
+    owner, flat = owner[keep], theta_index(batch.n).flatten(*(c[keep] for c in cells))
+    return owner, flat, 1.0 / np.bincount(owner)[owner]
+
+
+def MAX_LIKELIHOOD_RULE(batch: Batch, design: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every likelihood maximizer, with equal weights."""
-    flat, _ = _argmax_ties(box, x)
-    return flat, 1.0 / flat.size
+    return _maximizers(batch, False)
 
 
-def MONOTONICITY_RULE(
-    box: np.ndarray, x: ExperimentData, design: Design
-) -> tuple[np.ndarray, float]:
+def MONOTONICITY_RULE(batch: Batch, design: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every maximizer among no-defier or no-complier vectors, with equal weights."""
-    flat, _ = _argmax_ties(box, x, True)
-    return flat, 1.0 / flat.size
+    return _maximizers(batch, True)
 
 
-def FRECHET_RULE(
-    box: np.ndarray, x: ExperimentData, design: Design
-) -> tuple[np.ndarray, float]:
+def FRECHET_RULE(batch: Batch, design: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every member of the estimated Fréchet set, with equal weights.
 
-    Data with an empty arm do not estimate the marginals, so there the rule
-    makes no guess: its support is empty and its utility is zero, which is
-    its probability of guessing right.
+    The marginals are ``estimate_marginals``'s, in the same integers.  Data
+    with an empty arm do not estimate them, so there the rule makes no guess:
+    its utility is zero, which is its probability of guessing right.
     """
-    if x.intervention_size == 0 or x.control_size == 0:
-        return np.empty(0, dtype=np.int64), 0.0
-    fs = frechet_set(estimate_marginals(x, design))
-    ds = np.arange(fs.defier_lo, fs.defier_hi + 1, dtype=np.int64)
-    m = fs.marginals
-    flat = theta_index(x.n).flatten(m.mc - ds, m.m1 - m.mc + ds, ds)
-    return flat, 1.0 / flat.size
+    n, (i1, i0, c1, c0) = batch.n, batch.counts
+    if isinstance(design, Bernoulli):  # i1 / p = i1 b / a, c1 / (1 - p) = c1 b / (b - a)
+        a, b = design.p.as_integer_ratio()
+        num, den = (i1.astype(object) * b, c1.astype(object) * b), (a, b - a)
+    else:  # an empty arm's marginal goes unused
+        num, den = (n * i1, n * c1), (np.maximum(i1 + i0, 1), np.maximum(c1 + c0, 1))
+    m1, mc = (np.minimum((2 * u + v) // (2 * v), n).astype(np.int64) for u, v in zip(num, den))
+    lo, hi = np.maximum(0, mc - m1), np.minimum(mc, n - m1)  # the defier bounds
+    members = np.where((i1 + i0 > 0) & (c1 + c0 > 0), hi - lo + 1, 0)
+    owner = np.repeat(np.arange(members.size), members)
+    d = lo[owner] + np.arange(owner.size) - (np.cumsum(members) - members)[owner]
+    flat = theta_index(n).flatten(mc[owner] - d, m1[owner] - mc[owner] + d, d)
+    return owner, flat, 1.0 / members[owner]
 
 
 def custom_rule(decide: Callable[[ExperimentData, Design], WeightedGuess]) -> DecisionRule:
     """Decision rule from a function returning ``[(theta, weight), ...]`` for data."""
 
-    def rule(
-        box: np.ndarray, x: ExperimentData, design: Design
-    ) -> tuple[np.ndarray, np.ndarray]:
-        guesses = decide(x, design)
-        index = theta_index(x.n)
-        flat = np.asarray([index.flat(theta) for theta, _ in guesses], dtype=np.int64)
-        return flat, np.asarray([weight for _, weight in guesses])
+    def rule(batch: Batch, design: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        flat_of = theta_index(batch.n).flat
+        guesses = [(k, flat_of(t), w) for k, x in enumerate(batch.xs) for t, w in decide(x, design)]
+        # owners and flat indices are small integers, exact in float64
+        owner, flat, weight = np.array(guesses, dtype=float).reshape(-1, 3).T
+        return owner.astype(np.int64), flat.astype(np.int64), weight
 
     return rule
 
@@ -127,6 +193,25 @@ def _thread_map(fn, items, threads: int | None):
     return [fn(item) for item in items]
 
 
+def _batches(xs: list[ExperimentData]):
+    """Positions in ``xs`` by batch of at most ``_BATCH_CELLS`` box cells, each
+    realization followed by its arm-swap mirror where ``xs`` holds that too."""
+    where = {x.counts(): k for k, x in enumerate(xs)}
+    batch, cells = [], 0
+    for k, x in enumerate(xs):
+        i1, i0, c1, c0 = x.counts()
+        mirror = where.get((c1, c0, i1, i0), k)
+        if mirror < k:  # already placed after its mirror
+            continue
+        pair = [k] if mirror == k else [k, mirror]
+        size = (i1 + c1 + 1) * (i1 + c0 + 1) * (i0 + c1 + 1) * len(pair)
+        if batch and cells + size > _BATCH_CELLS:
+            yield batch
+            batch, cells = [], 0
+        batch, cells = batch + pair, cells + size
+    yield batch
+
+
 def rule_eu_vectors(
     rules: Sequence[DecisionRule],
     n: int,
@@ -136,34 +221,37 @@ def rule_eu_vectors(
 
     One pass over the data space: each realization contributes its likelihood
     column, restricted to the rule's guesses, scaled by the guess weights.
-    Per-realization partials are combined in the fixed data-space order.
+    Contributions are added in the fixed data-space order.
     """
     _check_bayes_budget(n, design)
     size = theta_index(n).size
     # (at, co, de) of every flat index, decoded once for all realizations
     decoded = np.stack(theta_index(n).components(np.arange(size))[:3])
+    xs = _data_space(n, design)
 
-    def column(x: ExperimentData) -> list[tuple[np.ndarray, np.ndarray]]:
-        box = assignment_count_grid(x)
-        scale = math.exp(_log_likelihood_of_count(1, x, design))  # P(one assignment)
-        shape = np.array(box.shape)[:, None]
+    def column(positions: list[int]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        batch = Batch([xs[k] for k in positions])
+        # P(one assignment) of each realization
+        scale = np.array([math.exp(_log_likelihood_of_count(1, x, design)) for x in batch.xs])
         parts = []
         for rule in rules:
-            flat, weight = rule(box, x, design)
-            coords = decoded[:, flat]
-            # a guess outside the box (a Fréchet member can be) has likelihood 0
-            inside = (coords < shape).all(axis=0)
+            owner, flat, weight = rule(batch, design)
+            (at, co, de), (shape_at, shape_co, shape_de) = decoded[:, flat], batch.shapes[:, owner]
+            # a guess outside its box (a Fréchet member can be) has likelihood 0
+            inside = (at < shape_at) & (co < shape_co) & (de < shape_de)
+            cells = batch.offsets[owner] + (at * shape_co + co) * shape_de + de
             likelihood = np.zeros(flat.size)
-            likelihood[inside] = box[tuple(coords[:, inside])]
-            parts.append((flat, likelihood * (weight * scale)))
+            likelihood[inside] = batch.buffer[cells[inside]]
+            parts.append((np.array(positions)[owner], flat, likelihood * (weight * scale[owner])))
         return parts
 
-    results = _thread_map(column, _data_space(n, design), None)
+    results = _thread_map(column, _batches(xs), None)
     vectors = [np.zeros(size) for _ in rules]
     for j, vec in enumerate(vectors):
-        flats, contribs = zip(*(parts[j] for parts in results))
+        where, flat, contrib = map(np.concatenate, zip(*(parts[j] for parts in results)))
         # ufunc.at adds in index order, so each cell sums in data-space order
-        np.add.at(vec, np.concatenate(flats), np.concatenate(contribs))
+        order = np.argsort(where, kind="stable")
+        np.add.at(vec, flat[order], contrib[order])
     return vectors
 
 

@@ -10,15 +10,20 @@ where they are exact, integer recounts otherwise.
 of the sorted posterior: every entry with mass at or above the mass where the
 cumulative sum crosses ``level``, in descending likelihood and then canonical
 order.  Its masses do not depend on the design.  ``smallest_credible_set(post)``
-reads it at the table's own level.  ``posterior`` reads the box in bounded
-chunks and never copies every value: see ``_normaliser`` and ``posterior``.
+reads it at the table's own level.  Where the box is exact (see
+``EXACT_FLOAT_LIMIT``) both decide the crossing in integers, reading the level
+as the decimal it prints as: ``Fraction(repr(0.95))`` is 19/20 (``_crossing``).
+``posterior`` reads the box in bounded chunks and never copies every value:
+see ``_normaliser`` and ``posterior``.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -173,6 +178,7 @@ class PosteriorTable:
     de: np.ndarray
     mass: np.ndarray
     value: np.ndarray  # the entries' box values; mass is value / normaliser
+    exact_total: int | None  # the box's integer sum where its values are exact, else None
 
     @property
     def entry_count(self) -> int:
@@ -226,6 +232,31 @@ def _normaliser(box: np.ndarray, index: ThetaIndex) -> float:
     return _tree_sum(take, index.size if full else np.count_nonzero(box))
 
 
+def _int_halves(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact integer values below 2**53 as int64 high and low 26-bit halves,
+    which sum or accumulate without overflow over up to 2**36 values."""
+    ints = values.astype(np.int64)
+    return ints >> 26, ints & ((1 << 26) - 1)
+
+
+def _crossing(
+    values: np.ndarray, masses: np.ndarray, level: float, exact_total: int | None
+) -> int:
+    """First position at which the cumulative mass of these entries reaches ``level``.
+
+    ``values.size`` when it never does.  With the box's exact integer sum, the
+    test is ``cum * den >= num * total`` on the integer cumulative values, the
+    level read as num/den = ``Fraction(repr(float(level)))``; otherwise the float
+    cumulative sum of ``masses`` is searched for ``level``.
+    """
+    if exact_total is None:
+        return int(np.searchsorted(np.cumsum(masses), level, side="left"))
+    goal, (high, low) = Fraction(repr(float(level))), map(np.cumsum, _int_halves(values))
+    num, den = goal.numerator * exact_total, goal.denominator
+    reached = lambda i: ((int(high[i]) << 26) + int(low[i])) * den >= num
+    return bisect.bisect_left(range(values.size), True, key=reached)
+
+
 def posterior(x: ExperimentData, level: float) -> PosteriorTable:
     """Posterior masses proportional to the likelihood, down to the level's boundary.
 
@@ -239,8 +270,12 @@ def posterior(x: ExperimentData, level: float) -> PosteriorTable:
     starts = range(0, flat.size, _CHUNK)
     total = _normaliser(box, index)
     assert total > 0.0, "saturated theta always has positive likelihood"
+    exact_total, peak = None, box.max()
+    if peak < EXACT_FLOAT_LIMIT:  # every value is its exact count
+        halves = (_int_halves(flat[s : s + _CHUNK]) for s in starts)
+        exact_total = sum((int(high.sum()) << 26) + int(low.sum()) for high, low in halves)
     # No fewer than level / (top mass) entries can reach the level.
-    size = math.ceil(level / (box.max() / total))
+    size = math.ceil(level / (peak / total))
     while True:
         kept, floor = np.empty(0), 0.0
         for part in (flat[s : s + _CHUNK] for s in starts):  # the size largest positive
@@ -249,12 +284,12 @@ def posterior(x: ExperimentData, level: float) -> PosteriorTable:
                 kept.partition(kept.size - size)
                 kept = kept[kept.size - size :]
                 floor = kept[0]
-        top = np.sort(kept)[::-1] / total
-        cum = np.cumsum(top)
-        if cum[-1] >= level or kept.size < size:  # fewer kept: every positive value
+        top = np.sort(kept)[::-1]
+        crossing = _crossing(top, top / total, level, exact_total)
+        if crossing < top.size or kept.size < size:  # fewer kept: every positive value
             break
         size *= 4
-    v = top[min(int(np.searchsorted(cum, level, side="left")), top.size - 1)]
+    v = top[min(crossing, top.size - 1)] / total
     # Every entry of mass v or more, kept or not (a value just below the block
     # may round to mass v), has a value of at least v * total / (1 + u),
     # u = 2**-53; the cut, 8u below v * total, stays below that after its own
@@ -265,7 +300,7 @@ def posterior(x: ExperimentData, level: float) -> PosteriorTable:
     block = box[coords]
     order = np.lexsort((index.flatten(*coords), -block))
     at, co, de = (axis[order].astype(np.uint32) for axis in coords)
-    return PosteriorTable(x, level, at, co, de, block[order] / total, block[order])
+    return PosteriorTable(x, level, at, co, de, block[order] / total, block[order], exact_total)
 
 
 @dataclass(frozen=True)
@@ -320,18 +355,21 @@ def smallest_credible_set(post: PosteriorTable) -> CredibleSummary:
     """
     level, mass = post.level, post.mass
     cum = np.cumsum(mass)
-    v = mass[min(int(np.searchsorted(cum, level, side="left")), mass.size - 1)]
-    run = np.flatnonzero(mass == v)  # the bit-equal float run holding the crossing
+    crossing = min(_crossing(post.value, mass, level, post.exact_total), mass.size - 1)
+    run = np.flatnonzero(mass == mass[crossing])  # the bit-equal float run holding it
     run_start = int(run[0])
     pre_mass = float(cum[run_start - 1]) if run_start > 0 else 0.0
-    boundary, verified = _boundary_members(post, run, level, pre_mass)
+    if post.exact_total is None:
+        boundary, verified = _boundary_members(post, run, level, pre_mass)
+    else:  # the values are the counts: the set ends with the crossing's count
+        boundary, verified = run[post.value[run] >= post.value[crossing]], True
     idx = np.concatenate((np.arange(run_start), boundary))
     at, co, de = (axis[idx].astype(np.int64) for axis in (post.at, post.co, post.de))
     nt = post.x.n - at - co - de
     return CredibleSummary(
         level=level,
         member_count=int(idx.size),
-        achieved_mass=pre_mass + float(v) * boundary.size,
+        achieved_mass=pre_mass + float(mass[crossing]) * boundary.size,
         at_range=(int(at.min()), int(at.max())),
         co_range=(int(co.min()), int(co.max())),
         de_range=(int(de.min()), int(de.max())),

@@ -7,6 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from defiers.core import (
     Bernoulli,
@@ -23,9 +24,9 @@ from defiers.likelihood import (
     oracle_assignment_count,
     oracle_data_distribution,
 )
-from defiers import evaluation
+from defiers import evaluation, inference
 from defiers.frechet import estimate_marginals, frechet_set
-from defiers.inference import _thetas_from_flat
+from defiers.inference import _argmax_ties, _thetas_from_flat, mle
 from defiers.evaluation import (
     FRECHET_RULE,
     MAX_LIKELIHOOD_RULE,
@@ -42,7 +43,7 @@ from defiers.evaluation import (
     rule_eu_vectors,
 )
 
-from grid_reference import reference_grid
+from grid_reference import reference_grid, tables
 
 
 def brute_force_eu(rule_decide, theta, m):
@@ -299,37 +300,129 @@ def test_monty_hall():
     assert 0.0 <= result.car_present <= 1.0
 
 
+def guesses_of(rule, xs, design):
+    """The rule's guesses on a batch of xs, as [[(theta, weight), ...] per x]."""
+    owner, flat, weight = rule(evaluation.Batch(xs), design)
+    guesses = [[] for _ in xs]
+    for k, theta, w in zip(owner.tolist(), _thetas_from_flat(xs[0].n, flat), weight.tolist()):
+        guesses[k].append((theta, w))
+    return guesses
+
+
 def test_decision_rule_decide_surface():
     x = ExperimentData(2, 1, 1, 2)
     design = CompletelyRandomized(3, 6)
-    grid = assignment_count_grid(x)
-    flat, weight = MAX_LIKELIHOOD_RULE(grid, x, design)
-    assert _thetas_from_flat(6, flat) == (Theta(0, 4, 2, 0),)
-    assert weight == 1.0
-    flat, weight = FRECHET_RULE(grid, x, design)
-    assert weight == pytest.approx(1 / 3)
-    assert _thetas_from_flat(6, flat) == (
-        Theta(2, 2, 0, 2),
-        Theta(1, 3, 1, 1),
-        Theta(0, 4, 2, 0),
-    )
+    assert guesses_of(MAX_LIKELIHOOD_RULE, [x], design) == [[(Theta(0, 4, 2, 0), 1.0)]]
+    assert guesses_of(FRECHET_RULE, [x], design) == [
+        [(Theta(2, 2, 0, 2), 1 / 3), (Theta(1, 3, 1, 1), 1 / 3), (Theta(0, 4, 2, 0), 1 / 3)]
+    ]
     guesses = [(Theta(1, 3, 1, 1), 0.25), (Theta(0, 4, 2, 0), 0.75)]
-    flat, weight = custom_rule(lambda x, design: guesses)(grid, x, design)
-    assert list(_thetas_from_flat(6, flat)) == [t for t, _ in guesses]
-    assert list(weight) == [0.25, 0.75]
+    assert guesses_of(custom_rule(lambda x, design: guesses), [x, x], design) == [guesses] * 2
     # full takeup in both arms: the set holds only the all-always-taker vector
     x = ExperimentData(3, 0, 5, 0)
-    flat, weight = FRECHET_RULE(assignment_count_grid(x), x, CompletelyRandomized(3, 8))
-    assert _thetas_from_flat(8, flat) == (Theta(8, 0, 0, 0),)
-    assert weight == 1.0
+    assert guesses_of(FRECHET_RULE, [x], CompletelyRandomized(3, 8)) == [[(Theta(8, 0, 0, 0), 1.0)]]
 
 
 def test_frechet_rule_guesses_nothing_with_an_empty_arm():
     x = ExperimentData(0, 0, 3, 1)
-    flat, _ = FRECHET_RULE(assignment_count_grid(x), x, CompletelyRandomized(0, 4))
-    assert flat.size == 0
+    assert guesses_of(FRECHET_RULE, [x], CompletelyRandomized(0, 4)) == [[]]
     for m in (0, 4):
         assert bayes_expected_utility(FRECHET_RULE, 4, CompletelyRandomized(m, 4)) == 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_batch_frechet_members_are_the_estimated_sets(n):
+    for design in [CompletelyRandomized(m, n) for m in range(n + 1)] + [Bernoulli(0.3)]:
+        xs = evaluation._data_space(n, design)
+        for x, guesses in zip(xs, guesses_of(FRECHET_RULE, xs, design)):
+            if x.intervention_size == 0 or x.control_size == 0:
+                assert guesses == []
+                continue
+            members = frechet_set(estimate_marginals(x, design)).members()
+            assert guesses == [(t, 1.0 / len(members)) for t in members]
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=tables(max_n=60))
+def test_the_mirror_box_is_the_box_transposed_where_exact(counts):
+    # swapping the arms swaps compliers and defiers: box[at, co, de] -> box[at, de, co]
+    i1, i0, c1, c0 = counts
+    x, mirror = ExperimentData(*counts), ExperimentData(c1, c0, i1, i0)
+    box = assignment_count_grid(x)
+    batch = evaluation.Batch([x, mirror])
+    assert np.array_equal(batch.boxes[0].view(np.int64), box.view(np.int64))
+    assert np.array_equal(batch.boxes[1], assignment_count_grid(mirror))
+    if box.max() < inference.EXACT_FLOAT_LIMIT:
+        assert np.array_equal(
+            assignment_count_grid(mirror).view(np.int64), box.transpose(0, 2, 1).view(np.int64)
+        )
+
+
+def named_rule_vectors(n, design):
+    return rule_eu_vectors([MAX_LIKELIHOOD_RULE, FRECHET_RULE, MONOTONICITY_RULE], n, design)
+
+
+def assert_bit_equal(got, want):
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "n, design", [(4, CompletelyRandomized(2, 4)), (9, CompletelyRandomized(4, 9)), (5, Bernoulli(0.3))]
+)
+def test_fresh_fills_and_integer_confirmation_keep_the_bits(monkeypatch, n, design):
+    want = named_rule_vectors(n, design)
+    fills, recounts = Counter(), Counter()
+
+    def counted(fn, tally):
+        return lambda *args: tally.update([args[0]]) or fn(*args)
+
+    # every box counts as inexact: mirrors are filled afresh, ties recounted
+    for module in (evaluation, inference):
+        monkeypatch.setattr(module, "EXACT_FLOAT_LIMIT", 1.0)
+    monkeypatch.setattr(evaluation, "assignment_count_grid", counted(assignment_count_grid, fills))
+    monkeypatch.setattr(
+        inference, "exact_assignment_count", counted(inference.exact_assignment_count, recounts)
+    )
+    assert_bit_equal(named_rule_vectors(n, design), want)
+    assert set(fills.values()) == {1}
+    assert len(fills) == len(evaluation._data_space(n, design))
+    assert recounts
+
+
+@pytest.mark.parametrize("limit", [None, 1.0])
+def test_batch_maximizers_are_the_argmax_ties(monkeypatch, limit):
+    if limit is not None:
+        # above the limit the suspects are recounted; a made-up count that
+        # splits exact ties shows the batch follows the counts, not the floats
+        real_count = inference.exact_assignment_count
+        for module in (evaluation, inference):
+            monkeypatch.setattr(module, "EXACT_FLOAT_LIMIT", limit)
+        monkeypatch.setattr(
+            inference, "exact_assignment_count", lambda t, x: 4 * real_count(t, x) + t.de % 3
+        )
+    for n, design in ((7, CompletelyRandomized(3, 7)), (5, Bernoulli(0.3))):
+        xs = evaluation._data_space(n, design)
+        batch = evaluation.Batch(xs)
+        for rule, monotone in ((MAX_LIKELIHOOD_RULE, None), (MONOTONICITY_RULE, True)):
+            owner, flat, weight = rule(batch, design)
+            for k, x in enumerate(xs):
+                want, _ = _argmax_ties(batch.boxes[k], x, monotone)
+                assert sorted(flat[owner == k].tolist()) == want.tolist()
+                assert np.all(weight[owner == k] == 1.0 / want.size)
+
+
+@pytest.mark.parametrize("design", [CompletelyRandomized(4, 8), CompletelyRandomized(3, 8), Bernoulli(0.5)])
+def test_custom_rule_through_the_batch_is_the_named_rule(monkeypatch, design):
+    def mle_decide(x, design):
+        maximizers = mle(x, design).maximizers
+        return [(t, 1.0 / len(maximizers)) for t in maximizers]
+
+    want = rule_eu_vectors([MAX_LIKELIHOOD_RULE], 8, design)
+    assert_bit_equal(rule_eu_vectors([custom_rule(mle_decide)], 8, design), want)
+    monkeypatch.setattr(evaluation, "_BATCH_CELLS", 1)  # one realization a batch
+    assert_bit_equal(rule_eu_vectors([custom_rule(mle_decide)], 8, design), want)
+    assert_bit_equal(named_rule_vectors(8, design)[:1], want)
 
 
 @functools.lru_cache(maxsize=None)
@@ -422,7 +515,7 @@ def reference_rule_eu_vectors(n, design):
         mono_flat = np.flatnonzero(monotone & (grid == grid[monotone].max()))
         guesses = (
             (mle_flat, 1.0 / mle_flat.size),
-            FRECHET_RULE(None, x, design),
+            FRECHET_RULE(evaluation.Batch([x]), design)[1:],
             (mono_flat, 1.0 / mono_flat.size),
         )
         for vec, (flat, weight) in zip(vectors, guesses):

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -270,6 +272,7 @@ def full_sort_posterior(x, level):
         de.astype(np.uint32),
         values[order] / total,
         values[order],
+        sum(map(int, values)) if values.max() < inference.EXACT_FLOAT_LIMIT else None,
     )
 
 
@@ -432,6 +435,92 @@ def test_posterior_scratch_stays_small_beside_the_box(counts):
     assert peak <= 16_000_000
 
 
+def test_analyze_stages_keep_their_scratch_small_on_the_published_table():
+    # Each stage's traced peak above what it began with: the fill (beyond the
+    # 71 MB box it returns), mle + monotonicity_mle on that box, then the
+    # posterior and its credible set.  About 8.4, 8.9 and 7.2 MB.
+    x, design = ExperimentData(69, 237, 26, 280), CompletelyRandomized(306, 612)
+    inference._cached_grid.cache_clear()
+    stages = [
+        lambda: inference._cached_grid(x).nbytes,
+        lambda: (mle(x, design), monotonicity_mle(x, design)) and 0,
+        lambda: smallest_credible_set(posterior(x, 0.95)) and 0,
+    ]
+    tracemalloc.start()
+    try:
+        for stage in stages:
+            begin = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            kept = stage()
+            assert tracemalloc.get_traced_memory()[1] - begin - kept < 16_000_000
+    finally:
+        tracemalloc.stop()
+
+
+def exact_credible_count(x, level):
+    """Reference: members of the smallest credible set, in exact rationals.
+
+    Counts are taken from the highest down, whole equal-count blocks at a
+    time, until their share of the total reaches the level read as the
+    decimal it prints as.
+    """
+    counts = sorted((exact_assignment_count(t, x) for t in enumerate_thetas(x.n)), reverse=True)
+    goal, total, cum = Fraction(repr(level)), sum(counts), 0
+    for count, block in itertools.groupby(counts):
+        cum += count * len(list(block))
+        if Fraction(cum, total) >= goal:
+            return sum(1 for c in counts if c >= count)
+
+
+def block_boundary_levels(x):
+    """Each exact cumulative mass at the end of an equal-count block, as a float,
+    with the floats one ulp below and above it."""
+    counts = sorted((exact_assignment_count(t, x) for t in enumerate_thetas(x.n)), reverse=True)
+    total, cum, levels = sum(counts), 0, []
+    for count, block in itertools.groupby(c for c in counts if c):
+        cum += count * len(list(block))
+        on = float(Fraction(cum, total))
+        levels += [float(np.nextafter(on, 0.0)), on, float(np.nextafter(on, 1.0))]
+    return [level for level in levels if 0.0 < level < 1.0]
+
+
+@pytest.mark.parametrize("counts,m,members", [((0, 2, 3, 3), 2, 37), ((14, 1, 2, 0), 15, 49)])
+def test_a_set_whose_exact_mass_is_the_level_stops_there(counts, m, members):
+    # The likeliest `members` vectors hold exactly 19/20 of the mass; the float
+    # cumulative sum lands an ulp below 0.95, which once let one more block in.
+    x = ExperimentData(*counts)
+    report = analyze(AnalysisRequest(design=CompletelyRandomized(m, x.n), data=x))
+    assert report.credible.member_count == members == exact_credible_count(x, 0.95)
+    assert smallest_credible_set(posterior(x, np.float64(0.95))) == report.credible
+    assert report.credible.boundary_verified_exact
+    assert "boundary_verified_exact" not in report_to_json(report)
+
+
+def test_posterior_grows_its_block_to_the_exact_crossing():
+    # 0.5555555555555556 reads as a decimal just above 5/9, the exact mass of
+    # the first block of two; the float sum of that block reaches the level,
+    # so only the exact test sends the posterior on to the next block.
+    x = ExperimentData(0, 1, 0, 2)
+    summary = smallest_credible_set(posterior(x, 0.5555555555555556))
+    assert summary.member_count == exact_credible_count(x, 0.5555555555555556) == 6
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts=tables(max_n=20), data=st.data())
+def test_credible_set_matches_the_exact_rationals(counts, data):
+    x = ExperimentData(*counts)
+    if data.draw(st.booleans()):
+        level = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    else:  # on or one ulp beside the exact mass at the end of a block
+        levels = block_boundary_levels(x)
+        if not levels:
+            return
+        level = data.draw(st.sampled_from(levels))
+    summary = smallest_credible_set(posterior(x, level))
+    assert summary.member_count == exact_credible_count(x, level)
+    assert summary.boundary_verified_exact
+
+
 def test_unconfirmed_maximizer_tie_reaches_both_reports(monkeypatch):
     # (2,0,0,2) and (0,2,2,0) tie; with the cap below two suspects the tie is
     # kept by bit-equal float values and flagged unverified
@@ -486,7 +575,7 @@ def test_credible_boundary_run_above_the_cap_is_taken_whole(monkeypatch):
     monkeypatch.setattr(inference, "EXACT_TIE_CAP", 1)
     monkeypatch.setattr(inference, "EXACT_FLOAT_LIMIT", 0.0)
     monkeypatch.setattr(inference, "exact_assignment_count", no_exact_count)
-    summary = smallest_credible_set(post)
+    summary = smallest_credible_set(dataclasses.replace(post, exact_total=None))
     assert confirmed.boundary_verified_exact
     assert summary == dataclasses.replace(confirmed, boundary_verified_exact=False)
     assert summary.member_count == post.entry_count == 41
@@ -504,7 +593,7 @@ def test_credible_boundary_run_above_the_cap_on_real_input(monkeypatch):
     # so they are its exact counts and the run is confirmed
     assert summary.boundary_verified_exact
     monkeypatch.setattr(inference, "EXACT_FLOAT_LIMIT", 1.0)  # the run's count is 1
-    assert smallest_credible_set(post) == dataclasses.replace(
+    assert smallest_credible_set(dataclasses.replace(post, exact_total=None)) == dataclasses.replace(
         summary, boundary_verified_exact=False
     )
 
@@ -552,7 +641,7 @@ def test_boundary_blocks_stop_once_the_level_is_reached(monkeypatch):
 
     monkeypatch.setattr(inference, "EXACT_FLOAT_LIMIT", 0.0)
     monkeypatch.setattr(inference, "exact_assignment_count", two_counts)
-    summary = smallest_credible_set(post)
+    summary = smallest_credible_set(dataclasses.replace(post, exact_total=None))
     assert runs == [_theta(post, 26), _theta(post, 27)]
     assert summary.member_count == 27
     assert summary.boundary_verified_exact

@@ -69,8 +69,6 @@ def test_tracer_compare_rules_spans(tmp_path):
         "evaluation.thread_map",
         "evaluation.column",
         "likelihood.grid",
-        "inference.argmax_mle",
-        "inference.argmax_mono",
         "reports.serialize",
         "reports.render",
     } <= names
