@@ -7,10 +7,10 @@ utility averages that over a uniform prior on the parameter grid.  Everything
 here is computed by full enumeration, so results are exact up to float64
 rounding.
 
-The Bayes pass decides realizations in batches (``Batch``) whose support
-boxes share one buffer of at most ``_BATCH_CELLS`` cells; a rule decides a
-whole batch in one call.  A realization and its arm-swap mirror share one
-fill wherever the box is exact.
+The Bayes pass and the heatmap decide realizations in batches (``Batch``)
+whose support boxes share one buffer of at most ``_BATCH_CELLS`` cells; a rule,
+or the heatmap's one ``_argmax_ties`` call, decides a whole batch.  A
+realization and its arm-swap mirror share one fill wherever the box is exact.
 """
 from __future__ import annotations
 
@@ -30,8 +30,8 @@ from .core import (
     Theta,
     theta_index,
 )
-from .likelihood import GRID_TIE_BOUND, _log_likelihood_of_count, assignment_count_grid
-from .inference import EXACT_FLOAT_LIMIT, _argmax_ties, _exact_counts, _thetas_from_flat
+from .likelihood import _log_likelihood_of_count, assignment_count_grid, box_shape
+from .inference import EXACT_FLOAT_LIMIT, _argmax_ties, _thetas_from_flat
 
 # Exact Bayes evaluation enumerates every (theta, data) pair; these guards
 # keep that enumeration within memory and time budgets.
@@ -60,8 +60,7 @@ class Batch:
     def __init__(self, xs: Sequence[ExperimentData]):
         self.xs, self.n = list(xs), xs[0].n
         self.counts = np.array([x.counts() for x in self.xs], dtype=np.int64).T
-        i1, i0, c1, c0 = self.counts
-        self.shapes = np.stack((i1 + c1 + 1, i1 + c0 + 1, i0 + c1 + 1))
+        self.shapes = np.stack(box_shape(*self.counts))
         sizes = self.shapes.prod(axis=0)
         self.offsets = np.cumsum(sizes) - sizes
         self.buffer, self.boxes = np.empty(int(sizes.sum())), []
@@ -81,48 +80,16 @@ class Batch:
 DecisionRule = Callable[[Batch, Design], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _maximizers(batch: Batch, monotone: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every box's exact maximizers, with equal weights, as ``_argmax_ties`` finds them.
-
-    Suspects lie within ``GRID_TIE_BOUND`` of the box's top (over its no-defier
-    and no-complier planes when ``monotone``).  Below ``EXACT_FLOAT_LIMIT`` the
-    bit-equal maxima are the exact ones; above it ``_exact_counts`` confirms.
-    """
-    tops, hits = [], []  # hits: suspects as cells of the box's own C order
-    for box in batch.boxes:
-        _, co_n, de_n = box.shape
-        raveled = box.reshape(-1)
-        if monotone:  # planes de = 0 and co = 0, holding the corner (at, 0, 0) once
-            no_de, no_co = raveled[::de_n], box[:, 0, 1:]
-            tops.append(max(no_de.max(), no_co.max(initial=0.0)))
-            cut = tops[-1] * (1.0 - GRID_TIE_BOUND)
-            (at, de), (plane,) = (no_co >= cut).nonzero(), (no_de >= cut).nonzero()
-            hits.append(np.concatenate((plane * de_n, at * co_n * de_n + de + 1)))
-        else:
-            tops.append(raveled.max())
-            hits.append((raveled >= tops[-1] * (1.0 - GRID_TIE_BOUND)).nonzero()[0])
-    owner, local = np.repeat(np.arange(len(hits)), [h.size for h in hits]), np.concatenate(hits)
-    _, co_n, de_n = batch.shapes[:, owner]
-    cells = (local // (co_n * de_n), local // de_n % co_n, local % de_n)
-    values, top = batch.buffer[batch.offsets[owner] + local], np.array(tops)[owner]
-    keep = values == top
-    for k in set(owner[top >= EXACT_FLOAT_LIMIT].tolist()):
-        run = owner == k
-        counts = _exact_counts(values[run], tuple(c[run] for c in cells), batch.xs[k])
-        if counts is not None:  # None: too many to confirm, the bit-equal maxima stay
-            keep[run] = counts == counts.max()
-    owner, flat = owner[keep], theta_index(batch.n).flatten(*(c[keep] for c in cells))
-    return owner, flat, 1.0 / np.bincount(owner)[owner]
-
-
 def MAX_LIKELIHOOD_RULE(batch: Batch, design: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every likelihood maximizer, with equal weights."""
-    return _maximizers(batch, False)
+    flat, _, owner = _argmax_ties(batch.boxes, batch.xs, None)
+    return owner, flat, 1.0 / np.bincount(owner)[owner]
 
 
 def MONOTONICITY_RULE(batch: Batch, design: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every maximizer among no-defier or no-complier vectors, with equal weights."""
-    return _maximizers(batch, True)
+    flat, _, owner = _argmax_ties(batch.boxes, batch.xs, True)
+    return owner, flat, 1.0 / np.bincount(owner)[owner]
 
 
 def FRECHET_RULE(batch: Batch, design: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,7 +171,7 @@ def _batches(xs: list[ExperimentData]):
         if mirror < k:  # already placed after its mirror
             continue
         pair = [k] if mirror == k else [k, mirror]
-        size = (i1 + c1 + 1) * (i1 + c0 + 1) * (i0 + c1 + 1) * len(pair)
+        size = math.prod(box_shape(i1, i0, c1, c0)) * len(pair)
         if batch and cells + size > _BATCH_CELLS:
             yield batch
             batch, cells = [], 0
@@ -342,27 +309,6 @@ class HeatmapCell:
     fisher_reject_5: bool
 
 
-def _heatmap_cell(n: int, m: int, i1: int, c1: int) -> HeatmapCell:
-    x = ExperimentData(i1, m - i1, c1, n - m - c1)
-    flat, _ = _argmax_ties(assignment_count_grid(x), x)
-    ties = _thetas_from_flat(n, flat)
-    letters = sorted(
-        {letter for theta in ties for letter in theta.types_present()},
-        key="ACDN".index,
-    )
-    p = fisher_exact_p(x)
-    included, total = _fisher_weights(x)  # p is rounded; the flag reads the integers
-    return HeatmapCell(
-        i1=i1,
-        c1=c1,
-        mle_set=ties,
-        defier_count=max(theta.de for theta in ties),
-        type_signature="".join(letters),
-        fisher_p=p,
-        fisher_reject_5=included * 20 <= total,
-    )
-
-
 def heatmap(
     n: int,
     m: int,
@@ -372,8 +318,10 @@ def heatmap(
 ) -> list[list[HeatmapCell]]:
     """MLE of every possible data realization, as cells[i1][c1].
 
-    Work grows with the fourth power of n; sizes beyond ``HEATMAP_MAX_N``
-    require ``force=True``.
+    Realizations are decided in the Bayes pass's batches, so with equal arms a
+    cell and its arm-swap mirror share one fill.  Each row is reported to
+    ``progress`` once all its cells are decided.  Work grows with the fourth
+    power of n; sizes beyond ``HEATMAP_MAX_N`` require ``force=True``.
     """
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
@@ -383,11 +331,25 @@ def heatmap(
             "pass force=True (CLI: --force) to run it anyway"
         )
 
-    cells = []
-    for i1 in range(m + 1):
-        cells.append([_heatmap_cell(n, m, i1, c1) for c1 in range(n - m + 1)])
-        if progress is not None:
-            progress(f"heatmap row i1={i1} of {m}")
+    xs = _data_space(n, CompletelyRandomized(m, n))
+    cells: list[list[HeatmapCell | None]] = [[None] * (n - m + 1) for _ in range(m + 1)]
+    row = 0  # the next row to report
+    for positions in _batches(xs):
+        group = [xs[k] for k in positions]
+        flat, _, owner = _argmax_ties(Batch(group).boxes, group, None)  # buffer freed on return
+        thetas, bounds = _thetas_from_flat(n, flat), np.searchsorted(owner, range(len(group) + 1))
+        for x, lo, hi in zip(group, bounds, bounds[1:]):
+            ties = thetas[lo:hi]
+            letters = {letter for theta in ties for letter in theta.types_present()}
+            included, total = _fisher_weights(x)  # p is rounded; the flag reads the integers
+            cells[x.i1][x.c1] = HeatmapCell(
+                x.i1, x.c1, ties, max(theta.de for theta in ties),
+                "".join(sorted(letters, key="ACDN".index)), fisher_exact_p(x), included * 20 <= total,
+            )
+        while row <= m and None not in cells[row]:
+            if progress is not None:
+                progress(f"heatmap row i1={row} of {m}")
+            row += 1
     return cells
 
 

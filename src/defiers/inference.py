@@ -4,7 +4,9 @@ The scan works on the float64 likelihood's support box
 (``assignment_count_grid``) and converts only what it returns to canonical
 flat indices.  Maximizer suspects and the credible boundary's tie run are
 ordered by exact counts from ``_exact_counts``: the box values themselves
-where they are exact, integer recounts otherwise.
+where they are exact, integer recounts otherwise.  One routine,
+``_argmax_ties``, finds the maximizers of any number of boxes at once: one for
+``mle`` and ``monotonicity_mle``, a batch for the heatmap and the Bayes rules.
 
 ``posterior(x, level)`` returns a ``PosteriorTable`` that holds only the top
 of the sorted posterior: every entry with mass at or above the mass where the
@@ -24,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -102,34 +104,51 @@ def _exact_counts(values: np.ndarray, cells: tuple, x: ExperimentData) -> np.nda
 
 
 def _argmax_ties(
-    box: np.ndarray, x: ExperimentData, monotone: bool | None = None
-) -> tuple[np.ndarray, bool]:
-    """Flat indices of all exact maximizers, ascending (= canonical order).
+    boxes: Sequence[np.ndarray], xs: Sequence[ExperimentData], monotone: bool | None = None
+) -> tuple[np.ndarray, bool, np.ndarray]:
+    """Every box's exact maximizers, as (flat, verified, owner).
 
+    ``boxes[k]`` is the support box of ``xs[k]``, all of one n.  ``flat`` holds
+    canonical flat indices, ascending within each owner; ``owner`` the position
+    k of each one's box.  Suspects lie within ``GRID_TIE_BOUND`` of the box's
+    top: below ``EXACT_FLOAT_LIMIT`` its bit-equal maxima are the exact ones,
+    above it ``_exact_counts`` confirms them.  ``verified`` is false when some
+    box had too many suspects to confirm and keeps its bit-equal maxima.
     ``monotone`` restricts the search to vectors with no defiers or no
-    compliers, the box planes ``box[:, :, 0]`` and ``box[:, 0, :]``; it is
-    passed positionally, None when unrestricted, as perfbench's tracer reads it.
+    compliers; it is passed positionally, None when unrestricted, as
+    perfbench's tracer reads it.
     """
-    parts = (box[:, :, :1], box[:, :1, :]) if monotone else (box,)
-    top = float(max(part.max() for part in parts))
-    if top <= 0.0:
+    tops, hits, values = [], [], []  # hits: suspects as cells of the box's own C order
+    for box in boxes:
+        _, co_n, de_n = box.shape
+        raveled = box.reshape(-1)
+        if monotone:  # planes de = 0 and co = 0, holding the corner (at, 0, 0) once
+            no_de, no_co = raveled[::de_n], box[:, 0, 1:]
+            tops.append(max(no_de.max(), no_co.max(initial=0.0)))
+            cut = tops[-1] * (1.0 - GRID_TIE_BOUND)
+            (at, de), (plane,) = (no_co >= cut).nonzero(), (no_de >= cut).nonzero()
+            hits.append(np.concatenate((plane * de_n, at * co_n * de_n + de + 1)))
+        else:
+            tops.append(raveled.max())
+            hits.append((raveled >= tops[-1] * (1.0 - GRID_TIE_BOUND)).nonzero()[0])
+        values.append(raveled[hits[-1]])
+    if min(tops) <= 0.0:
         raise AssertionError("likelihood is zero everywhere; data inconsistent")
-    # every exact maximizer lies within the fill's rounding-error bound of top
-    cutoff = top * (1.0 - GRID_TIE_BOUND)
-    near = [np.flatnonzero(p >= cutoff) for p in parts]
-    if sum(hits.size for hits in near) == 1:  # the monotone corner (at,0,0) is in both planes
-        part, (hit,) = next((p, hits) for p, hits in zip(parts, near) if hits.size)
-        at, rest = divmod(int(hit), part.shape[1] * part.shape[2])
-        return theta_index(x.n).flatten(at, *divmod(rest, part.shape[2]))[None], True
-    near = [np.unravel_index(hits, p.shape) for p, hits in zip(parts, near)]
-    at, co, de = (np.concatenate(axis) for axis in zip(*near))
-    flat, first = np.unique(theta_index(x.n).flatten(at, co, de), return_index=True)
-    cells = (at[first], co[first], de[first])
-    values = box[cells]
-    counts = _exact_counts(values, cells, x)
-    if counts is None:  # too many suspects to confirm: the bit-equal maxima
-        return flat[values == top], False
-    return flat[counts == counts.max()], True
+    owner = np.repeat(np.arange(len(hits)), [h.size for h in hits])
+    local, values, top = np.concatenate(hits), np.concatenate(values), np.array(tops)[owner]
+    _, co_n, de_n = np.array([box.shape for box in boxes]).T[:, owner]
+    cells = (local // (co_n * de_n), local // de_n % co_n, local % de_n)
+    keep, verified = values == top, True
+    for k in set(owner[top >= EXACT_FLOAT_LIMIT].tolist()):
+        run = owner == k
+        counts = _exact_counts(values[run], tuple(c[run] for c in cells), xs[k])
+        verified &= counts is not None  # None: too many to confirm, the bit-equal maxima stay
+        if counts is not None:
+            keep[run] = counts == counts.max()
+    index = theta_index(xs[0].n)
+    key = np.sort(owner[keep] * index.size + index.flatten(*(c[keep] for c in cells)))
+    owner, flat = np.divmod(key, index.size)
+    return flat, verified, owner
 
 
 def _thetas_from_flat(n: int, flat: np.ndarray) -> tuple[Theta, ...]:
@@ -142,7 +161,7 @@ def _thetas_from_flat(n: int, flat: np.ndarray) -> tuple[Theta, ...]:
 
 def _mle_over(x: ExperimentData, design: Design, monotone: bool | None) -> MleResult:
     check_design(x, design)
-    flat, verified = _argmax_ties(_cached_grid(x), x, monotone)
+    flat, verified, _ = _argmax_ties([_cached_grid(x)], [x], monotone)
     maximizers = _thetas_from_flat(x.n, flat)
     return MleResult(
         maximizers=maximizers,

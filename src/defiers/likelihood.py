@@ -251,11 +251,16 @@ def oracle_assignment_count(theta: Theta, x: ExperimentData) -> int:
     return oracle_data_distribution(theta, x.intervention_size).get(x, 0)
 
 
+def box_shape(i1, i0, c1, c0):
+    """Shape (at, co, de) of the support box of (i1, i0, c1, c0); ints or int arrays."""
+    return i1 + c1 + 1, i1 + c0 + 1, i0 + c1 + 1
+
+
 def assignment_count_grid(x: ExperimentData) -> np.ndarray:
     """Assignment count of every Theta with n = x.n, as its support box.
 
-    Returns ``box[at, co, de]`` (nt implied) of shape (i1+c1+1, i1+c0+1,
-    i0+c1+1); every Theta outside it has count 0, and so do its cells with
+    Returns ``box[at, co, de]`` (nt implied) of shape ``box_shape(*x.counts())``;
+    every Theta outside it has count 0, and so do its cells with
     at + co + de > n.  Instead of visiting each parameter vector, this
     enumerates arm compositions: how many intervention takers are always
     takers (a_i), intervention non-takers defiers (d_i), control takers always
@@ -277,7 +282,7 @@ def assignment_count_grid(x: ExperimentData) -> np.ndarray:
         )
     i1, i0, c1, c0 = x.counts()
     table = choose_table(n)
-    box = np.zeros((i1 + c1 + 1, i1 + c0 + 1, i0 + c1 + 1))
+    box = np.zeros(box_shape(i1, i0, c1, c0))
     s_at, s_co, s_de = box.strides
     view = lambda base, off, shape, strides: np.ndarray(shape, buffer=base, offset=off, strides=strides)
     # slabs[a_i][c_c, a_c, d_i] is box[a_i + a_c, i1 - a_i + c_c, c1 - a_c + d_i]

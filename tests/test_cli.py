@@ -201,6 +201,13 @@ def test_progress_goes_to_stderr(tmp_path, capsys, argv, line):
     assert out == ""
 
 
+def test_heatmap_progress_prints_each_row_once_in_order(tmp_path, capsys):
+    code, _, err = run(capsys, "heatmap", "--n", "4", "--m", "2", "--out-dir", str(tmp_path))
+    assert code == 0
+    rows = [line for line in err.splitlines() if line.startswith("heatmap row")]
+    assert rows == [f"heatmap row i1={i} of 2" for i in range(3)]
+
+
 def test_compare_rules_cmd(tmp_path, capsys):
     code, _, _ = run(
         capsys, "compare-rules", "--max-n", "6", "--quiet", "--out-dir", str(tmp_path)

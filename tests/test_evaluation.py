@@ -21,12 +21,13 @@ from defiers.core import (
 from defiers.likelihood import (
     _log_likelihood_of_count,
     assignment_count_grid,
+    box_shape,
     oracle_assignment_count,
     oracle_data_distribution,
 )
 from defiers import evaluation, inference
 from defiers.frechet import estimate_marginals, frechet_set
-from defiers.inference import _argmax_ties, _thetas_from_flat, mle
+from defiers.inference import _thetas_from_flat, mle
 from defiers.evaluation import (
     FRECHET_RULE,
     MAX_LIKELIHOOD_RULE,
@@ -263,6 +264,37 @@ def test_heatmap_two_subject_corners():
     assert cells[0][0].type_signature == "N"
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_heatmap_cells_are_the_mle(n):
+    for m in range(n + 1):
+        for row in heatmap(n, m):
+            for cell in row:
+                x = ExperimentData(cell.i1, m - cell.i1, cell.c1, n - m - cell.c1)
+                assert cell.mle_set == mle(x, CompletelyRandomized(m, n)).maximizers
+
+
+@pytest.mark.parametrize("m, fills, cells", [(6, 28, 49), (5, 48, 48)])
+def test_heatmap_mirrors_share_a_fill_with_equal_arms(monkeypatch, m, fills, cells):
+    made = []
+    monkeypatch.setattr(
+        evaluation, "assignment_count_grid", lambda x: made.append(x) or assignment_count_grid(x)
+    )
+    assert sum(map(len, heatmap(12, m))) == cells
+    assert len(made) == fills
+
+
+def test_heatmap_reports_each_row_once_all_its_cells_are_decided(monkeypatch):
+    # one pair of arm-swap mirrors per batch: row 0 is done after the third
+    # fill (cells (0,0), then (0,1) with (1,0), then (0,2) with (2,0))
+    made, reported = [], []
+    monkeypatch.setattr(evaluation, "_BATCH_CELLS", 1)
+    monkeypatch.setattr(
+        evaluation, "assignment_count_grid", lambda x: made.append(x) or assignment_count_grid(x)
+    )
+    heatmap(4, 2, progress=lambda line: reported.append((line, len(made))))
+    assert reported == [(f"heatmap row i1={i} of 2", fills) for i, fills in enumerate((3, 5, 6))]
+
+
 def test_heatmap_budget_guard():
     with pytest.raises(BudgetExceededError):
         heatmap(100, 50)
@@ -349,7 +381,9 @@ def test_the_mirror_box_is_the_box_transposed_where_exact(counts):
     i1, i0, c1, c0 = counts
     x, mirror = ExperimentData(*counts), ExperimentData(c1, c0, i1, i0)
     box = assignment_count_grid(x)
+    assert box.shape == box_shape(*counts)
     batch = evaluation.Batch([x, mirror])
+    assert batch.shapes.T.tolist() == [list(box_shape(*counts)), list(box_shape(c1, c0, i1, i0))]
     assert np.array_equal(batch.boxes[0].view(np.int64), box.view(np.int64))
     assert np.array_equal(batch.boxes[1], assignment_count_grid(mirror))
     if box.max() < inference.EXACT_FLOAT_LIMIT:
@@ -392,24 +426,27 @@ def test_fresh_fills_and_integer_confirmation_keep_the_bits(monkeypatch, n, desi
 
 @pytest.mark.parametrize("limit", [None, 1.0])
 def test_batch_maximizers_are_the_argmax_ties(monkeypatch, limit):
+    # each realization's guesses are the brute-force argmax of its exact counts
+    count = inference.exact_assignment_count
     if limit is not None:
         # above the limit the suspects are recounted; a made-up count that
         # splits exact ties shows the batch follows the counts, not the floats
-        real_count = inference.exact_assignment_count
+        real_count, count = count, lambda t, x: 4 * real_count(t, x) + t.de % 3
         for module in (evaluation, inference):
             monkeypatch.setattr(module, "EXACT_FLOAT_LIMIT", limit)
-        monkeypatch.setattr(
-            inference, "exact_assignment_count", lambda t, x: 4 * real_count(t, x) + t.de % 3
-        )
+        monkeypatch.setattr(inference, "exact_assignment_count", count)
     for n, design in ((7, CompletelyRandomized(3, 7)), (5, Bernoulli(0.3))):
-        xs = evaluation._data_space(n, design)
+        xs, index = evaluation._data_space(n, design), theta_index(n)
         batch = evaluation.Batch(xs)
-        for rule, monotone in ((MAX_LIKELIHOOD_RULE, None), (MONOTONICITY_RULE, True)):
+        for rule, monotone in ((MAX_LIKELIHOOD_RULE, False), (MONOTONICITY_RULE, True)):
             owner, flat, weight = rule(batch, design)
+            thetas = [t for t in enumerate_thetas(n) if not monotone or t.co == 0 or t.de == 0]
             for k, x in enumerate(xs):
-                want, _ = _argmax_ties(batch.boxes[k], x, monotone)
-                assert sorted(flat[owner == k].tolist()) == want.tolist()
-                assert np.all(weight[owner == k] == 1.0 / want.size)
+                counts = [count(t, x) for t in thetas]
+                best = max(counts)
+                want = [index.flat(t) for t, c in zip(thetas, counts) if c == best]
+                assert flat[owner == k].tolist() == want  # canonical order
+                assert np.all(weight[owner == k] == 1.0 / len(want))
 
 
 @pytest.mark.parametrize("design", [CompletelyRandomized(4, 8), CompletelyRandomized(3, 8), Bernoulli(0.5)])

@@ -79,7 +79,7 @@ GUARDS = {
         lambda: profile_level_flags([], 1.0), ValueError, "level must be in (0,1), got 1.0",
     ),
     "_argmax_ties": (
-        lambda: _argmax_ties(np.zeros((1, 1, 1)), X4),
+        lambda: _argmax_ties([np.ones((1, 1, 1)), np.zeros((1, 1, 1))], [X4, X4]),
         AssertionError,
         "likelihood is zero everywhere; data inconsistent",
     ),

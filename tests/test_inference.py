@@ -678,11 +678,39 @@ def test_argmax_ties_match_the_exact_argmax(counts, monotone, limit):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(inference, "EXACT_FLOAT_LIMIT", limit)
         patch.setattr(inference, "exact_assignment_count", exact_count)
-        flat, verified = _argmax_ties(box, x, monotone)
+        flat, verified, owner = _argmax_ties([box], [x], monotone)
     assert flat.tolist() == want
-    assert verified
+    assert verified and not owner.any()
     if box.max() >= limit and len(want) > 1:
         assert recounts
+
+
+@pytest.mark.parametrize("monotone", [None, True])
+def test_argmax_ties_of_many_boxes_are_each_box_alone(monkeypatch, monotone):
+    # Every n=7 table in one call, in boxes of many shapes.  With the limit at
+    # 12, 72 of the 120 boxes lie above it, and those with several suspects are
+    # recounted under a made-up count that splits exact ties; the rest are
+    # decided by bit equality.
+    xs = [
+        ExperimentData(i1, i0, c1, 7 - i1 - i0 - c1)
+        for i1 in range(8) for i0 in range(8 - i1) for c1 in range(8 - i1 - i0)
+    ]
+    boxes = [assignment_count_grid(x) for x in xs]
+    recounted, real_count = set(), inference.exact_assignment_count
+    monkeypatch.setattr(inference, "EXACT_FLOAT_LIMIT", 12.0)
+    monkeypatch.setattr(
+        inference,
+        "exact_assignment_count",
+        lambda t, x: recounted.add(x) or 4 * real_count(t, x) + t.de % 3,
+    )
+    flat, verified, owner = _argmax_ties(boxes, xs, monotone)
+    assert len({box.shape for box in boxes}) > 1 and recounted
+    assert all(assignment_count_grid(x).max() >= 12.0 for x in recounted)
+    assert verified and np.all(np.diff(owner) >= 0)
+    for k, (box, x) in enumerate(zip(boxes, xs)):
+        alone, alone_verified, alone_owner = _argmax_ties([box], [x], monotone)
+        assert flat[owner == k].tolist() == alone.tolist()
+        assert alone_verified and not alone_owner.any()
 
 
 @settings(max_examples=100, deadline=None)

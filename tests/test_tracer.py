@@ -68,7 +68,23 @@ def test_tracer_compare_rules_spans(tmp_path):
         "evaluation.data_space",
         "evaluation.thread_map",
         "evaluation.column",
+        "inference.argmax_mle",
+        "inference.argmax_mono",
         "likelihood.grid",
+        "reports.serialize",
+        "reports.render",
+    } <= names
+
+
+def test_tracer_heatmap_spans(tmp_path):
+    names = traced_span_names(tmp_path, "heatmap", "--n", "4", "--m", "2")
+    assert {
+        "cli.main",
+        "evaluation.heatmap",
+        "evaluation.data_space",
+        "inference.argmax_mle",
+        "likelihood.grid",
+        "evaluation.fisher",
         "reports.serialize",
         "reports.render",
     } <= names
