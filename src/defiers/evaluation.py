@@ -63,14 +63,14 @@ class Batch:
         self.shapes = np.stack(box_shape(*self.counts))
         sizes = self.shapes.prod(axis=0)
         self.offsets = np.cumsum(sizes) - sizes
-        self.buffer, self.boxes = np.empty(int(sizes.sum())), []
+        self.buffer, self.boxes = np.zeros(int(sizes.sum())), []
         for k, (x, start, shape) in enumerate(zip(self.xs, self.offsets, self.shapes.T)):
             box = self.buffer[start : start + sizes[k]].reshape(shape)
             mirror = k > 0 and self.xs[k - 1].counts() == (x.c1, x.c0, x.i1, x.i0)
             if mirror and self.boxes[-1].max() < EXACT_FLOAT_LIMIT:
                 box[...] = self.boxes[-1].transpose(0, 2, 1)
             else:
-                box[...] = assignment_count_grid(x)
+                assignment_count_grid(x, box)  # fills the zeroed view in place
             self.boxes.append(box)
 
 

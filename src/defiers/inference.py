@@ -49,7 +49,7 @@ from .likelihood import (
 # sample size and the positive entries above it.  The two pairwise-sum orders
 # can differ in the last bit; keeping both keeps reported masses bit-identical.
 # Either order is read in _CHUNK runs, so the posterior's scratch beside the box
-# is a few runs plus its top block: 6.7 MB at n=612, 5.4 MB at n=300 (tracemalloc).
+# is a few runs plus its top block: 7.9 MB at n=612, 5.4 MB at n=300 (tracemalloc).
 FULL_TABLE_MAX_N = 300
 
 # Values the posterior reads at once, from the box or the normaliser's order.
@@ -294,7 +294,7 @@ def posterior(x: ExperimentData, level: float) -> PosteriorTable:
         halves = (_int_halves(flat[s : s + _CHUNK]) for s in starts)
         exact_total = sum((int(high.sum()) << 26) + int(low.sum()) for high, low in halves)
     # No fewer than level / (top mass) entries can reach the level.
-    size = math.ceil(level / (peak / total))
+    size = 4 * math.ceil(level / (peak / total))  # one growth step up: n=612 tables need 3.6-4.1x
     while True:
         kept, floor = np.empty(0), 0.0
         for part in (flat[s : s + _CHUNK] for s in starts):  # the size largest positive

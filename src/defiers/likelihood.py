@@ -21,6 +21,7 @@ Each use of the assignment count has one route:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -48,8 +49,8 @@ ORACLE_MAX_N = 20
 # in float64 range: each entry is at most C(n, n//2), so the grid sum is at most
 # C(n+3, 3) * C(n, n//2), 10^307.66 at n=1000; the bound first exceeds the
 # float64 maximum (10^308.25) at n=1002.  Fill scratch beside the box is small:
-# 256 KB of products and ``head``, (i1+1)(c0+1)(c1+1) cells (4.2 MB at n=612);
-# the posterior's is a few 4 MB chunks and its top block (6.7 MB at n=612).
+# one 256 KB ``term`` block per band, and ``head``, (i1+1)(c0+1)(c1+1) cells
+# (4.2 MB at n=612); the posterior's is 4 MB chunks and its top block (7.9 MB).
 GRID_MAX_N = 1000
 
 # Relative gap within which two box cells may hold equal exact counts, for any
@@ -65,6 +66,8 @@ GRID_TIE_BOUND = 2.24e-13
 # Cells of one block of the fill's products (256 KB), so that the block and the
 # box cells it adds onto stay in a 2 MB L2 cache while every a_i passes them.
 _BLOCK_CELLS = 1 << 15
+# Arm compositions per fill band: smaller fills run on the calling thread alone.
+_BAND_WORK = 1 << 22
 
 SHARE_SUM_TOL = 1e-12
 
@@ -256,12 +259,22 @@ def box_shape(i1, i0, c1, c0):
     return i1 + c1 + 1, i1 + c0 + 1, i0 + c1 + 1
 
 
-def assignment_count_grid(x: ExperimentData) -> np.ndarray:
+def _band_edges(i1: int, c0: int, bands: int) -> list[int]:
+    """Edges 0 = e_0 < ... < e_k = i1 + c0 + 1, k <= bands, of runs of box columns
+    co, each within one column of an even share of the arm compositions."""
+    co = np.arange(i1 + c0 + 1)  # takes the (a_i, c_c) pairs with i1 - a_i + c_c = co
+    through = np.cumsum(np.minimum(i1, i1 + c0 - co) - np.maximum(0, i1 - co) + 1)
+    ends = np.searchsorted(through, np.arange(1, bands + 1) * through[-1] / bands) + 1
+    return [0, *np.unique(ends).tolist()]
+
+
+def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> np.ndarray:
     """Assignment count of every Theta with n = x.n, as its support box.
 
     Returns ``box[at, co, de]`` (nt implied) of shape ``box_shape(*x.counts())``;
     every Theta outside it has count 0, and so do its cells with
-    at + co + de > n.  Instead of visiting each parameter vector, this
+    at + co + de > n; a zeroed ``box`` of that shape is filled in place.
+    Instead of visiting each parameter vector, this
     enumerates arm compositions: how many intervention takers are always
     takers (a_i), intervention non-takers defiers (d_i), control takers always
     takers (a_c) and control non-takers compliers (c_c) determines one vector,
@@ -269,8 +282,10 @@ def assignment_count_grid(x: ExperimentData) -> np.ndarray:
     of four binomial coefficients.  For each a_i that map is affine and
     injective, so its products are added onto one strided view of the box, in
     O((i1+1)(i0+1)(c1+1)(c0+1)) work in all.  Products are formed for blocks
-    of a run of a_i values by c_c rows, about 256 KB each, so scratch beside
-    the box is that block plus the (a_i, c_c, a_c) factor ``head``.
+    of a run of a_i values by c_c rows, about 256 KB each.  From ``_BAND_WORK``
+    compositions up, bands of box columns co, one per usable CPU, fill on their
+    own threads; a cell lies in one band and sums in ascending a_i whatever the
+    band count.  Scratch beside the box is a block per band and ``head``.
 
     Values are float64; counts are exact wherever they stay below 2**53, and
     suspected ties are confirmed with exact integer sums by callers.
@@ -282,7 +297,7 @@ def assignment_count_grid(x: ExperimentData) -> np.ndarray:
         )
     i1, i0, c1, c0 = x.counts()
     table = choose_table(n)
-    box = np.zeros(box_shape(i1, i0, c1, c0))
+    box = np.zeros(box_shape(i1, i0, c1, c0)) if box is None else box
     s_at, s_co, s_de = box.strides
     view = lambda base, off, shape, strides: np.ndarray(shape, buffer=base, offset=off, strides=strides)
     # slabs[a_i][c_c, a_c, d_i] is box[a_i + a_c, i1 - a_i + c_c, c1 - a_c + d_i]
@@ -298,18 +313,38 @@ def assignment_count_grid(x: ExperimentData) -> np.ndarray:
     # C(c1 - a_c + d_i, d_i) by (a_c, d_i); C(i0 - d_i + c0 - c_c, i0 - d_i) by (c_c, 1, d_i)
     de_part = view(table, c1 * down, (c1 + 1, i0 + 1), (-down, dr)).copy()
     nt_part = view(table, i0 * dr + c0 * down, (c0 + 1, 1, i0 + 1), (-down, 0, -dr)).copy()
-    # c_c = co - i1 + a_i grows with a_i, so blocks of c_c rows taken in order,
-    # each run over ascending a_i, still sum each cell in ascending a_i.
     rows = min(c0 + 1, max(1, _BLOCK_CELLS // ((c1 + 1) * (i0 + 1))))
     run = min(i1 + 1, max(1, _BLOCK_CELLS // (rows * (c1 + 1) * (i0 + 1))))  # a_i per block
-    term = np.empty((run, rows, c1 + 1, i0 + 1))
-    for r in range(0, c0 + 1, rows):
-        nt_rows = nt_part[r : r + rows]
-        for k0 in range(0, i1 + 1, run):
-            heads = head[k0 : k0 + run, r : r + rows, :, None]
-            part = term[: len(heads), : len(nt_rows)]  # the last run or rows may be short
-            np.multiply(heads, de_part, out=part)
-            part *= nt_rows
-            for slab, products in zip(slabs[k0 : k0 + run, r : r + rows], part):
+
+    def band(lo: int, hi: int) -> None:  # adds every product onto the columns lo <= co < hi
+        term = np.empty((run, rows, c1 + 1, i0 + 1))
+
+        def add(k0: int, k1: int, r0: int, r1: int) -> None:  # a_i in [k0, k1), c_c in [r0, r1)
+            part = term[: k1 - k0, : r1 - r0]
+            np.multiply(head[k0:k1, r0:r1, :, None], de_part, out=part)
+            part *= nt_part[r0:r1]
+            for slab, products in zip(slabs[k0:k1, r0:r1], part):
                 slab += products
+        # c_c = co - i1 + a_i grows with a_i, so blocks of c_c rows taken in
+        # order, each run over ascending a_i, still sum each cell in ascending a_i.
+        for r0 in range(0, c0 + 1, rows):
+            for k0 in range(0, i1 + 1, run):
+                r1, k1 = min(r0 + rows, c0 + 1), min(k0 + run, i1 + 1)
+                if lo <= i1 - k1 + 1 + r0 and i1 - k0 + r1 <= hi:  # the block lies in the band
+                    add(k0, k1, r0, r1)
+                else:  # across an edge, each a_i over its c_c rows in the band; none if outside
+                    for a_i in range(max(k0, r0 + i1 - hi + 1), min(k1, r1 + i1 - lo)):
+                        add(a_i, a_i + 1, max(r0, lo - i1 + a_i), min(r1, hi - i1 + a_i))
+
+    work = (i1 + 1) * (i0 + 1) * (c1 + 1) * (c0 + 1)  # arm compositions
+    bands = min(len(os.sched_getaffinity(0)), work // _BAND_WORK)
+    edges = _band_edges(i1, c0, bands) if bands > 1 else [0, i1 + c0 + 1]
+    if len(edges) == 2:
+        band(*edges)
+        return box
+    from concurrent.futures import ThreadPoolExecutor  # not at the top: it loads logging, 0.8 MB
+    with ThreadPoolExecutor(len(edges) - 2) as pool:  # this thread fills the first band
+        rest = pool.map(band, edges[1:-1], edges[2:])
+        band(*edges[:2])
+        list(rest)  # re-raises a band's failure
     return box

@@ -277,7 +277,9 @@ def test_heatmap_cells_are_the_mle(n):
 def test_heatmap_mirrors_share_a_fill_with_equal_arms(monkeypatch, m, fills, cells):
     made = []
     monkeypatch.setattr(
-        evaluation, "assignment_count_grid", lambda x: made.append(x) or assignment_count_grid(x)
+        evaluation,
+        "assignment_count_grid",
+        lambda x, box: made.append(x) or assignment_count_grid(x, box),
     )
     assert sum(map(len, heatmap(12, m))) == cells
     assert len(made) == fills
@@ -289,7 +291,9 @@ def test_heatmap_reports_each_row_once_all_its_cells_are_decided(monkeypatch):
     made, reported = [], []
     monkeypatch.setattr(evaluation, "_BATCH_CELLS", 1)
     monkeypatch.setattr(
-        evaluation, "assignment_count_grid", lambda x: made.append(x) or assignment_count_grid(x)
+        evaluation,
+        "assignment_count_grid",
+        lambda x, box: made.append(x) or assignment_count_grid(x, box),
     )
     heatmap(4, 2, progress=lambda line: reported.append((line, len(made))))
     assert reported == [(f"heatmap row i1={i} of 2", fills) for i, fills in enumerate((3, 5, 6))]

@@ -279,11 +279,11 @@ def full_sort_posterior(x, level):
 def settled_block(full, level):
     """Size of the block ``posterior`` partitions out, and its boundary entry.
 
-    The block starts at level / (top mass) entries and grows fourfold until
-    its cumulative mass reaches the level or it holds every entry.
+    The block starts at four times level / (top mass) entries and grows
+    fourfold until its cumulative mass reaches the level or it holds every entry.
     """
     cum = np.cumsum(full.mass)
-    size = math.ceil(level / full.mass[0])
+    size = 4 * math.ceil(level / full.mass[0])
     while size < full.entry_count and cum[size - 1] < level:
         size *= 4
     size = min(size, full.entry_count)
@@ -291,9 +291,17 @@ def settled_block(full, level):
 
 
 # (table, level) pairs on which the partition must grow past its first block
-# (level / top mass entries) and the block that reaches the level ends inside
-# the boundary float-tie run, so the run must be gathered whole.
+# (four times level / top mass entries) and the block that reaches the level
+# ends inside the boundary float-tie run, so the run must be gathered whole.
 GROWN_AND_CUT = [
+    ((1, 8, 1, 10), 0.9999809707028621),
+    ((1, 9, 10, 1), 0.9999087824064434),
+    ((1, 8, 2, 11), 0.999993483158619),
+]
+
+# (table, level) pairs on which the first block reaches the level and ends
+# inside the boundary float-tie run.
+CUT_IN_THE_FIRST_BLOCK = [
     ((4, 0, 1, 7), 0.9512492382693478),
     ((10, 4, 5, 2), 0.8055838706844878),
     ((1, 2, 14, 23), 0.9674089823115505),
@@ -309,13 +317,16 @@ INSIDE_THE_BLOCK = [
 # A table and level on which the block ends with the boundary mass, and the
 # next, smaller count divides by the normaliser to that same mass, so the
 # entries of that mass must be gathered from past the block too.
-MASS_TIE_PAST_THE_BLOCK = ((52, 12, 13, 22), 0.003130930414093042)
+MASS_TIE_PAST_THE_BLOCK = ((33, 0, 1, 82), 0.9983427349743728)
+
+# A table and level whose boundary mass a smaller count shares inside the block.
+MASS_TIE_IN_THE_BLOCK = ((52, 12, 13, 22), 0.003130930414093042)
 
 
 @pytest.mark.parametrize("counts,level", GROWN_AND_CUT)
 def test_cases_grow_the_block_and_cut_the_boundary_run(counts, level):
     full = full_sort_posterior(ExperimentData(*counts), level)
-    assert np.cumsum(full.mass)[math.ceil(level / full.mass[0]) - 1] < level
+    assert np.cumsum(full.mass)[4 * math.ceil(level / full.mass[0]) - 1] < level
     size, k = settled_block(full, level)
     run = np.flatnonzero(full.mass == full.mass[k])
     assert run[0] < size <= run[-1]
@@ -324,11 +335,13 @@ def test_cases_grow_the_block_and_cut_the_boundary_run(counts, level):
 @pytest.mark.parametrize(
     "counts,level,in_block",
     [(*case, True) for case in INSIDE_THE_BLOCK]
-    + [(*case, False) for case in (*GROWN_AND_CUT, MASS_TIE_PAST_THE_BLOCK)],
+    + [(*case, False) for case in (*CUT_IN_THE_FIRST_BLOCK, MASS_TIE_PAST_THE_BLOCK)]
+    + [(*case, False) for case in GROWN_AND_CUT]
+    + [(*MASS_TIE_IN_THE_BLOCK, True)],
 )
 def test_cases_end_inside_or_past_the_kept_block(counts, level, in_block):
     # posterior's gather pass scans the whole box for entries of the boundary
-    # mass: on the first cases they all lie in the kept block, on the others
+    # mass: on the in_block cases they all lie in the kept block, on the others
     # some lie past it, where only that scan finds them
     x = ExperimentData(*counts)
     full = full_sort_posterior(x, level)
@@ -346,6 +359,10 @@ def test_cases_end_inside_or_past_the_kept_block(counts, level, in_block):
 @example(counts=INSIDE_THE_BLOCK[0][0], level=INSIDE_THE_BLOCK[0][1])
 @example(counts=INSIDE_THE_BLOCK[1][0], level=INSIDE_THE_BLOCK[1][1])
 @example(counts=MASS_TIE_PAST_THE_BLOCK[0], level=MASS_TIE_PAST_THE_BLOCK[1])
+@example(counts=CUT_IN_THE_FIRST_BLOCK[0][0], level=CUT_IN_THE_FIRST_BLOCK[0][1])
+@example(counts=CUT_IN_THE_FIRST_BLOCK[1][0], level=CUT_IN_THE_FIRST_BLOCK[1][1])
+@example(counts=CUT_IN_THE_FIRST_BLOCK[2][0], level=CUT_IN_THE_FIRST_BLOCK[2][1])
+@example(counts=MASS_TIE_IN_THE_BLOCK[0], level=MASS_TIE_IN_THE_BLOCK[1])
 @example(counts=(50, 11, 23, 31), level=0.9999999999999999)
 @example(counts=(94, 20, 179, 9), level=0.95)  # n > FULL_TABLE_MAX_N
 @example(counts=(0, 5, 0, 7), level=0.25)  # v * total rounds above the boundary value
@@ -371,8 +388,9 @@ def assert_prefix_of_the_full_sort(counts, level):
 
 @pytest.mark.parametrize(
     "counts,level,chunk",
-    [(*case, 7) for case in (*GROWN_AND_CUT, *INSIDE_THE_BLOCK, MASS_TIE_PAST_THE_BLOCK)]
-    + [((94, 20, 179, 9), 0.95, 4096)],  # n > FULL_TABLE_MAX_N
+    [(*case, 7) for case in (*CUT_IN_THE_FIRST_BLOCK, *INSIDE_THE_BLOCK, MASS_TIE_IN_THE_BLOCK)]
+    + [((94, 20, 179, 9), 0.95, 4096)]  # n > FULL_TABLE_MAX_N
+    + [(*case, 7) for case in (*GROWN_AND_CUT, MASS_TIE_PAST_THE_BLOCK)],
 )
 def test_posterior_streamed_in_small_chunks_is_a_prefix_of_the_full_sort(
     monkeypatch, counts, level, chunk
@@ -565,7 +583,7 @@ def test_unconfirmed_fallback_keeps_only_the_bit_equal_maxima(monkeypatch):
 def test_credible_boundary_run_above_the_cap_is_taken_whole(monkeypatch):
     # the boundary run of this table holds two entries; with the limit at 0 and
     # above the cap they are admitted together without exact counting
-    counts, level = GROWN_AND_CUT[0]
+    counts, level = CUT_IN_THE_FIRST_BLOCK[0]
     post = posterior(ExperimentData(*counts), level)
     confirmed = smallest_credible_set(post)
 

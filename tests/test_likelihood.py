@@ -1,10 +1,14 @@
 import math
 import sys
+import concurrent.futures
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from defiers import likelihood
 from defiers.core import (
@@ -186,12 +190,12 @@ def test_grid_matches_scalar_path():
     assert grid[theta_index(6).flat(Theta(0, 4, 2, 0))] == 12.0
 
 
-def assert_box_is_the_reference(x):
+def assert_box_is_the_reference(x, reference=None):
     """The support box holds the reference grid's bits, and the rest is 0."""
     box = assignment_count_grid(x)
     i1, i0, c1, c0 = x.counts()
     assert box.shape == (i1 + c1 + 1, i1 + c0 + 1, i0 + c1 + 1)
-    reference = reference_grid(x)
+    reference = reference_grid(x) if reference is None else reference
     coords = np.nonzero(box)
     assert (coords[0] + coords[1] + coords[2] <= x.n).all()
     flat = theta_index(x.n).flatten(*coords)
@@ -224,7 +228,19 @@ def test_box_equals_the_reference_grid(counts):
     ],
 )
 def test_box_is_bit_equal_to_the_reference(counts):
-    assert_box_is_the_reference(ExperimentData(*counts))
+    # filled as one band, and as two and three bands of box columns on threads
+    x = ExperimentData(*counts)
+    reference = reference_grid(x)
+    for bands in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            fill_in_bands(mp, bands)
+            assert_box_is_the_reference(x, reference)
+
+
+def fill_in_bands(mp, bands):
+    """Every fill takes ``bands`` bands, or one per box column if it has fewer."""
+    mp.setattr(likelihood, "_BAND_WORK", 1)
+    mp.setattr(likelihood.os, "sched_getaffinity", lambda pid: set(range(bands)))
 
 
 def one_row(i1, i0, c1, c0):
@@ -257,6 +273,68 @@ def test_blocked_fill_is_bit_equal_to_the_reference(block_cells, counts):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(likelihood, "_BLOCK_CELLS", block_cells(*counts))
         assert_box_is_the_reference(ExperimentData(*counts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    counts=tables(),
+    bands=st.integers(1, 3),
+    block_cells=st.sampled_from([one_row, ragged, runs_of_two, every_a_i]),
+)
+@example(counts=(4, 3, 2, 5), bands=2, block_cells=ragged)  # blocks inside, outside and across
+def test_banded_fill_is_bit_equal_to_the_reference(counts, bands, block_cells):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(likelihood, "_BLOCK_CELLS", block_cells(*counts))
+        fill_in_bands(mp, bands)
+        assert_box_is_the_reference(ExperimentData(*counts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts=tables(max_n=200), bands=st.integers(1, 8))
+def test_bands_partition_the_columns_into_even_shares(counts, bands):
+    i1, _, _, c0 = counts
+    edges = likelihood._band_edges(i1, c0, bands)
+    assert edges[0] == 0 and edges[-1] == i1 + c0 + 1 and len(edges) - 1 <= bands
+    assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
+    # (a_i, c_c) pairs per box column co = i1 - a_i + c_c
+    a_i, c_c = np.indices((i1 + 1, c0 + 1))
+    per_column = np.bincount((i1 - a_i + c_c).ravel())
+    shares = [per_column[lo:hi].sum() for lo, hi in zip(edges, edges[1:])]
+    # each band is within one column of an even split
+    even = per_column.sum() / bands
+    assert all(abs(share - even) < per_column.max() for share in shares)
+
+
+def test_fills_up_to_n_60_run_on_the_calling_thread():
+    # the heatmap and the Bayes pass stop at n = 60, where a box has at most
+    # 16**4 compositions: far below one band's work
+    n = 60
+    assert max(
+        (i1 + 1) * (i0 + 1) * (c1 + 1) * (n - i1 - i0 - c1 + 1)
+        for i1 in range(n + 1)
+        for i0 in range(n - i1 + 1)
+        for c1 in range(n - i1 - i0 + 1)
+    ) == 16**4 < likelihood._BAND_WORK
+
+
+def test_banded_fill_joins_its_threads_and_raises_a_band_failure(monkeypatch):
+    x = ExperimentData(12, 13, 7, 18)
+    box, threads = assignment_count_grid(x), threading.active_count()
+    fill_in_bands(monkeypatch, 3)
+    assert np.array_equal(assignment_count_grid(x).view(np.int64), box.view(np.int64))
+    assert threading.active_count() == threads
+
+    class FailingBands(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            def fail(*args):
+                raise MemoryError("a band failed")
+
+            return super().submit(fail, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", FailingBands)
+    with pytest.raises(MemoryError, match="a band failed"):
+        assignment_count_grid(x)
+    assert threading.active_count() == threads
 
 
 def test_smoking_box_bits_do_not_depend_on_the_block_size(monkeypatch):
