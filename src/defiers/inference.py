@@ -293,8 +293,7 @@ def posterior(x: ExperimentData, level: float) -> PosteriorTable:
     if peak < EXACT_FLOAT_LIMIT:  # every value is its exact count
         halves = (_int_halves(flat[s : s + _CHUNK]) for s in starts)
         exact_total = sum((int(high.sum()) << 26) + int(low.sum()) for high, low in halves)
-    # No fewer than level / (top mass) entries can reach the level.
-    size = 4 * math.ceil(level / (peak / total))  # one growth step up: n=612 tables need 3.6-4.1x
+    size = 4 * math.ceil(level / (peak / total))  # one x4 step above the fewest that reach level
     while True:
         kept, floor = np.empty(0), 0.0
         for part in (flat[s : s + _CHUNK] for s in starts):  # the size largest positive

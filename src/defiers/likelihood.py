@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -66,8 +66,7 @@ GRID_TIE_BOUND = 2.24e-13
 # Cells of one block of the fill's products (256 KB), so that the block and the
 # box cells it adds onto stay in a 2 MB L2 cache while every a_i passes them.
 _BLOCK_CELLS = 1 << 15
-# Arm compositions per fill band: smaller fills run on the calling thread alone.
-_BAND_WORK = 1 << 22
+_BAND_WORK = 1 << 22  # arm compositions per fill band; below two bands, the calling thread fills
 
 SHARE_SUM_TOL = 1e-12
 
@@ -272,20 +271,18 @@ def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> n
     """Assignment count of every Theta with n = x.n, as its support box.
 
     Returns ``box[at, co, de]`` (nt implied) of shape ``box_shape(*x.counts())``;
-    every Theta outside it has count 0, and so do its cells with
-    at + co + de > n; a zeroed ``box`` of that shape is filled in place.
-    Instead of visiting each parameter vector, this
-    enumerates arm compositions: how many intervention takers are always
-    takers (a_i), intervention non-takers defiers (d_i), control takers always
-    takers (a_c) and control non-takers compliers (c_c) determines one vector,
-    (at, co, de) = (a_i + a_c, i1 - a_i + c_c, c1 - a_c + d_i), and one product
-    of four binomial coefficients.  For each a_i that map is affine and
+    every Theta outside it has count 0, and so do its cells with at + co + de > n.
+    A zeroed ``box`` of that shape is filled in place.  This enumerates arm
+    compositions rather than parameter vectors: how many intervention takers are
+    always takers (a_i), intervention non-takers defiers (d_i), control takers
+    always takers (a_c) and control non-takers compliers (c_c) determines one
+    vector, (at, co, de) = (a_i + a_c, i1 - a_i + c_c, c1 - a_c + d_i), and one
+    product of four binomial coefficients.  For each a_i that map is affine and
     injective, so its products are added onto one strided view of the box, in
-    O((i1+1)(i0+1)(c1+1)(c0+1)) work in all.  Products are formed for blocks
-    of a run of a_i values by c_c rows, about 256 KB each.  From ``_BAND_WORK``
-    compositions up, bands of box columns co, one per usable CPU, fill on their
-    own threads; a cell lies in one band and sums in ascending a_i whatever the
-    band count.  Scratch beside the box is a block per band and ``head``.
+    O((i1+1)(i0+1)(c1+1)(c0+1)) work in all, in 256 KB blocks of a run of a_i
+    values by c_c rows.  From 2 * ``_BAND_WORK`` compositions up, bands of box
+    columns co, one per usable CPU, fill on their own threads with a block each;
+    a cell lies in one band and sums in ascending a_i at any band count.
 
     Values are float64; counts are exact wherever they stay below 2**53, and
     suspected ties are confirmed with exact integer sums by callers.
@@ -318,7 +315,6 @@ def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> n
 
     def band(lo: int, hi: int) -> None:  # adds every product onto the columns lo <= co < hi
         term = np.empty((run, rows, c1 + 1, i0 + 1))
-
         def add(k0: int, k1: int, r0: int, r1: int) -> None:  # a_i in [k0, k1), c_c in [r0, r1)
             part = term[: k1 - k0, : r1 - r0]
             np.multiply(head[k0:k1, r0:r1, :, None], de_part, out=part)
@@ -327,17 +323,17 @@ def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> n
                 slab += products
         # c_c = co - i1 + a_i grows with a_i, so blocks of c_c rows taken in
         # order, each run over ascending a_i, still sum each cell in ascending a_i.
-        for r0 in range(0, c0 + 1, rows):
-            for k0 in range(0, i1 + 1, run):
-                r1, k1 = min(r0 + rows, c0 + 1), min(k0 + run, i1 + 1)
-                if lo <= i1 - k1 + 1 + r0 and i1 - k0 + r1 <= hi:  # the block lies in the band
-                    add(k0, k1, r0, r1)
-                else:  # across an edge, each a_i over its c_c rows in the band; none if outside
-                    for a_i in range(max(k0, r0 + i1 - hi + 1), min(k1, r1 + i1 - lo)):
-                        add(a_i, a_i + 1, max(r0, lo - i1 + a_i), min(r1, hi - i1 + a_i))
+        for r0, k0 in product(range(0, c0 + 1, rows), range(0, i1 + 1, run)):
+            r1, k1 = min(r0 + rows, c0 + 1), min(k0 + run, i1 + 1)
+            if lo <= i1 - k1 + 1 + r0 and i1 - k0 + r1 <= hi:  # the block lies in the band
+                add(k0, k1, r0, r1)
+            else:  # across an edge, each a_i over its c_c rows in the band; none if outside
+                for a_i in range(max(k0, r0 + i1 - hi + 1), min(k1, r1 + i1 - lo)):
+                    add(a_i, a_i + 1, max(r0, lo - i1 + a_i), min(r1, hi - i1 + a_i))
 
     work = (i1 + 1) * (i0 + 1) * (c1 + 1) * (c0 + 1)  # arm compositions
-    bands = min(len(os.sched_getaffinity(0)), work // _BAND_WORK)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    bands = min(cpus, work // _BAND_WORK)  # _band_edges would add 9% to an n=50 fill
     edges = _band_edges(i1, c0, bands) if bands > 1 else [0, i1 + c0 + 1]
     if len(edges) == 2:
         band(*edges)

@@ -305,6 +305,21 @@ def test_bands_partition_the_columns_into_even_shares(counts, bands):
     assert all(abs(share - even) < per_column.max() for share in shares)
 
 
+def test_bands_follow_cpu_count_where_sched_getaffinity_is_missing(monkeypatch):
+    # os.sched_getaffinity exists only on some platforms (Linux, not macOS or Windows)
+    x = ExperimentData(12, 13, 7, 18)
+    reference, band_edges, bands = reference_grid(x), likelihood._band_edges, []
+    monkeypatch.setattr(likelihood, "_BAND_WORK", 1)
+    monkeypatch.delattr(likelihood.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(
+        likelihood, "_band_edges", lambda i1, c0, k: bands.append(k) or band_edges(i1, c0, k)
+    )
+    for cpus in (None, 1, 3):
+        monkeypatch.setattr(likelihood.os, "cpu_count", lambda: cpus)
+        assert_box_is_the_reference(x, reference)
+    assert bands == [3]  # an unknown count or one CPU fills one band
+
+
 def test_fills_up_to_n_60_run_on_the_calling_thread():
     # the heatmap and the Bayes pass stop at n = 60, where a box has at most
     # 16**4 compositions: far below one band's work
