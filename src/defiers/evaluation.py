@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    Bernoulli,
     BudgetExceededError,
     CompletelyRandomized,
     Design,
@@ -30,6 +29,7 @@ from .core import (
     Theta,
     theta_index,
 )
+from .frechet import Marginals, estimate_marginals, frechet_set
 from .likelihood import _log_likelihood_of_count, assignment_count_grid, box_shape
 from .inference import EXACT_FLOAT_LIMIT, _argmax_ties, _thetas_from_flat
 
@@ -51,19 +51,18 @@ class Batch:
     """Data realizations of one n, with their support boxes in one buffer.
 
     ``boxes[k]`` holds ``assignment_count_grid(xs[k])`` as a view of ``buffer``
-    from ``offsets[k]`` of shape ``shapes[:, k]``; ``counts[:, k]`` is
-    ``xs[k].counts()``.  Right after its arm-swap mirror (c1, c0, i1, i0), a
-    realization takes the mirror's box transposed (compliers and defiers trade
-    places) if its top is below ``EXACT_FLOAT_LIMIT``: both fills are exact there.
+    from ``offsets[k]`` of shape ``shapes[:, k]``; the buffer's last cell, in no
+    box, is 0.  Right after its arm-swap mirror (c1, c0, i1, i0), a realization
+    takes the mirror's box transposed (compliers and defiers trade places) if
+    its top is below ``EXACT_FLOAT_LIMIT``: both fills are exact there.
     """
 
     def __init__(self, xs: Sequence[ExperimentData]):
         self.xs, self.n = list(xs), xs[0].n
-        self.counts = np.array([x.counts() for x in self.xs], dtype=np.int64).T
-        self.shapes = np.stack(box_shape(*self.counts))
+        self.shapes = np.array([box_shape(*x.counts()) for x in self.xs], dtype=np.int64).T
         sizes = self.shapes.prod(axis=0)
         self.offsets = np.cumsum(sizes) - sizes
-        self.buffer, self.boxes = np.zeros(int(sizes.sum())), []
+        self.buffer, self.boxes = np.zeros(int(sizes.sum()) + 1), []
         for k, (x, start, shape) in enumerate(zip(self.xs, self.offsets, self.shapes.T)):
             box = self.buffer[start : start + sizes[k]].reshape(shape)
             mirror = k > 0 and self.xs[k - 1].counts() == (x.c1, x.c0, x.i1, x.i0)
@@ -95,19 +94,16 @@ def MONOTONICITY_RULE(batch: Batch, design: Design) -> tuple[np.ndarray, np.ndar
 def FRECHET_RULE(batch: Batch, design: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every member of the estimated Fréchet set, with equal weights.
 
-    The marginals are ``estimate_marginals``'s, in the same integers.  Data
-    with an empty arm do not estimate them, so there the rule makes no guess:
+    The set is ``frechet_set(estimate_marginals(x, design))``.  Data with an
+    empty arm do not estimate the marginals, so there the rule makes no guess:
     its utility is zero, which is its probability of guessing right.
     """
-    n, (i1, i0, c1, c0) = batch.n, batch.counts
-    if isinstance(design, Bernoulli):  # i1 / p = i1 b / a, c1 / (1 - p) = c1 b / (b - a)
-        a, b = design.p.as_integer_ratio()
-        num, den = (i1.astype(object) * b, c1.astype(object) * b), (a, b - a)
-    else:  # an empty arm's marginal goes unused
-        num, den = (n * i1, n * c1), (np.maximum(i1 + i0, 1), np.maximum(c1 + c0, 1))
-    m1, mc = (np.minimum((2 * u + v) // (2 * v), n).astype(np.int64) for u, v in zip(num, den))
-    lo, hi = np.maximum(0, mc - m1), np.minimum(mc, n - m1)  # the defier bounds
-    members = np.where((i1 + i0 > 0) & (c1 + c0 > 0), hi - lo + 1, 0)
+    n, full = batch.n, [x.intervention_size > 0 < x.control_size for x in batch.xs]
+    sets = [frechet_set(estimate_marginals(x, design) if f else Marginals(0, 0, n))
+            for x, f in zip(batch.xs, full)]
+    m1, mc, lo, hi = np.array([(s.marginals.m1, s.marginals.mc, s.defier_lo, s.defier_hi)
+                               for s in sets]).T
+    members = np.where(full, hi - lo + 1, 0)
     owner = np.repeat(np.arange(members.size), members)
     d = lo[owner] + np.arange(owner.size) - (np.cumsum(members) - members)[owner]
     flat = theta_index(n).flatten(mc[owner] - d, m1[owner] - mc[owner] + d, d)
@@ -204,11 +200,10 @@ def rule_eu_vectors(
         for rule in rules:
             owner, flat, weight = rule(batch, design)
             (at, co, de), (shape_at, shape_co, shape_de) = decoded[:, flat], batch.shapes[:, owner]
-            # a guess outside its box (a Fréchet member can be) has likelihood 0
+            # a guess outside its box (a Fréchet member can be) reads the buffer's last cell, 0
             inside = (at < shape_at) & (co < shape_co) & (de < shape_de)
             cells = batch.offsets[owner] + (at * shape_co + co) * shape_de + de
-            likelihood = np.zeros(flat.size)
-            likelihood[inside] = batch.buffer[cells[inside]]
+            likelihood = batch.buffer[np.where(inside, cells, batch.buffer.size - 1)]
             parts.append((np.array(positions)[owner], flat, likelihood * (weight * scale[owner])))
         return parts
 

@@ -272,7 +272,8 @@ def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> n
 
     Returns ``box[at, co, de]`` (nt implied) of shape ``box_shape(*x.counts())``;
     every Theta outside it has count 0, and so do its cells with at + co + de > n.
-    A zeroed ``box`` of that shape is filled in place.  This enumerates arm
+    A zeroed float64 ``box`` of that shape is filled in place (another shape or
+    dtype raises ``ValueError``; zeros are not checked).  This enumerates arm
     compositions rather than parameter vectors: how many intervention takers are
     always takers (a_i), intervention non-takers defiers (d_i), control takers
     always takers (a_c) and control non-takers compliers (c_c) determines one
@@ -293,8 +294,10 @@ def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> n
             f"full likelihood grid at n={n} exceeds the guard of {GRID_MAX_N}"
         )
     i1, i0, c1, c0 = x.counts()
-    table = choose_table(n)
-    box = np.zeros(box_shape(i1, i0, c1, c0)) if box is None else box
+    table, shape = choose_table(n), box_shape(i1, i0, c1, c0)
+    box = np.zeros(shape) if box is None else box
+    if box.shape != shape or box.dtype != np.float64:
+        raise ValueError(f"box must be float64 of shape {shape}, got {box.dtype} of shape {box.shape}")
     s_at, s_co, s_de = box.strides
     view = lambda base, off, shape, strides: np.ndarray(shape, buffer=base, offset=off, strides=strides)
     # slabs[a_i][c_c, a_c, d_i] is box[a_i + a_c, i1 - a_i + c_c, c1 - a_c + d_i]

@@ -368,7 +368,9 @@ def test_frechet_rule_guesses_nothing_with_an_empty_arm():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_batch_frechet_members_are_the_estimated_sets(n):
-    for design in [CompletelyRandomized(m, n) for m in range(n + 1)] + [Bernoulli(0.3)]:
+    designs = [CompletelyRandomized(m, n) for m in range(n + 1)]
+    # 1e-10's binary denominator, about 2**86, is past int64
+    for design in designs + [Bernoulli(0.3), Bernoulli(1e-10)]:
         xs = evaluation._data_space(n, design)
         for x, guesses in zip(xs, guesses_of(FRECHET_RULE, xs, design)):
             if x.intervention_size == 0 or x.control_size == 0:

@@ -17,9 +17,14 @@ from defiers.core import (
 from defiers.evaluation import MAX_LIKELIHOOD_RULE, bayes_expected_utility, fisher_exact_p
 from defiers.frechet import Marginals, frechet_profile, frechet_set, profile_level_flags
 from defiers.inference import _argmax_ties
-from defiers.likelihood import log_likelihood, oracle_assignment_count
+from defiers.likelihood import (
+    assignment_count_grid,
+    log_likelihood,
+    oracle_assignment_count,
+)
 
 X4 = ExperimentData(1, 1, 1, 1)
+X2112 = ExperimentData(2, 1, 1, 2)  # its box is (4, 5, 3)
 CR4 = CompletelyRandomized(2, 4)
 
 GUARDS = {
@@ -87,6 +92,16 @@ GUARDS = {
         lambda: log_likelihood(Theta(1, 0, 0, 0), X4, CR4),
         ValueError,
         "data n=4 but theta n=1",
+    ),
+    "assignment_count_grid shape": (
+        lambda: assignment_count_grid(X2112, np.zeros((5, 5, 5))),
+        ValueError,
+        "box must be float64 of shape (4, 5, 3), got float64 of shape (5, 5, 5)",
+    ),
+    "assignment_count_grid dtype": (  # whose bytes would be read as float64
+        lambda: assignment_count_grid(X2112, np.zeros((4, 5, 3), np.int64)),
+        ValueError,
+        "box must be float64 of shape (4, 5, 3), got int64 of shape (4, 5, 3)",
     ),
     "oracle_assignment_count": (
         lambda: oracle_assignment_count(Theta(1, 0, 0, 0), X4),

@@ -3,7 +3,8 @@
 Runs ``pytest.main`` under the standard library's ``trace`` module (no
 ``coverage`` dependency) and prints, for each module, the executable lines
 with no hit, counted the way ``python -m trace --count --missing`` counts
-them.  Usage, from anywhere:
+them, and then the package's total line count as ``wc -l src/defiers/*.py``
+gives it.  Usage, from anywhere:
 
     python tools/untraced_lines.py [pytest arguments]
 
@@ -66,6 +67,8 @@ def main(argv: list[str]) -> int:
         print(f"{path.relative_to(ROOT)}: {len(lines)} untraced")
         for line in lines:
             print(f"  {line}: {source[line - 1].strip()}")
+    total = sum(path.read_bytes().count(b"\n") for path in PACKAGE.glob("*.py"))
+    print(f"{PACKAGE.relative_to(ROOT)}: {total} lines in all (wc -l)")
     return int(status)
 
 
