@@ -207,14 +207,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_monty(args: argparse.Namespace) -> int:
     result = monty_hall_likelihoods()
-
-    def as_fraction(v: float) -> str:
-        frac = Fraction(v).limit_denominator(64)
-        return str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
-
     print(
-        f"car-absent: {as_fraction(result.car_absent)}, "
-        f"car-present: {as_fraction(result.car_present)}, "
+        f"car-absent: {result.car_absent}, car-present: {result.car_present}, "
         f"decision: {result.decision}"
     )
     return EXIT_OK

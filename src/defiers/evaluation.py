@@ -10,13 +10,15 @@ rounding.
 The Bayes pass and the heatmap decide realizations in batches (``Batch``)
 whose support boxes share one buffer of at most ``_BATCH_CELLS`` cells; a rule,
 or the heatmap's one ``_argmax_ties`` call, decides a whole batch.  A
-realization and its arm-swap mirror share one fill wherever the box is exact.
+realization and its arm-swap mirror share one fill wherever the box is exact
+and both boxes fit one batch.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -157,17 +159,19 @@ def _thread_map(fn, items, threads: int | None):
 
 
 def _batches(xs: list[ExperimentData]):
-    """Positions in ``xs`` by batch of at most ``_BATCH_CELLS`` box cells, each
-    realization followed by its arm-swap mirror where ``xs`` holds that too."""
+    """Positions in ``xs`` by batch of at most ``_BATCH_CELLS`` box cells (a
+    larger box is a batch alone), each realization followed by its arm-swap
+    mirror where ``xs`` holds that too and the two boxes fit one batch."""
     where = {x.counts(): k for k, x in enumerate(xs)}
     batch, cells = [], 0
     for k, x in enumerate(xs):
         i1, i0, c1, c0 = x.counts()
-        mirror = where.get((c1, c0, i1, i0), k)
+        box = math.prod(box_shape(i1, i0, c1, c0))  # the mirror's box has as many cells
+        mirror = where.get((c1, c0, i1, i0), k) if 2 * box <= _BATCH_CELLS else k
         if mirror < k:  # already placed after its mirror
             continue
         pair = [k] if mirror == k else [k, mirror]
-        size = math.prod(box_shape(i1, i0, c1, c0)) * len(pair)
+        size = box * len(pair)
         if batch and cells + size > _BATCH_CELLS:
             yield batch
             batch, cells = [], 0
@@ -394,8 +398,8 @@ def defier_region_check(n: int, *, force: bool = False) -> RegionCheckResult:
 class MontyHallResult:
     """Likelihood of each car placement behind the two unchosen doors."""
 
-    car_absent: float  # no car behind either unchosen door
-    car_present: float  # car behind the unopened unchosen door
+    car_absent: Fraction  # no car behind either unchosen door
+    car_present: Fraction  # car behind the unopened unchosen door
 
     @property
     def decision(self) -> str:
@@ -423,7 +427,7 @@ def monty_hall_likelihoods() -> MontyHallResult:
         return "right" if not car_right else "left"
 
     likelihood = {
-        name: sum(opened(p, config) == "left" for p in policies) / len(policies)
+        name: Fraction(sum(opened(p, config) == "left" for p in policies), len(policies))
         for name, config in configurations.items()
     }
     return MontyHallResult(

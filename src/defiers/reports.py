@@ -252,62 +252,68 @@ def render_text(report: AnalysisReport) -> str:
 # CSV writers
 
 
+def _csv(header: str, rows: list) -> str:
+    """CSV text: floats by ``fmt_float``, booleans lowercased, the rest by ``str``."""
+    def spell(v) -> str:
+        if isinstance(v, float):
+            return fmt_float(v)
+        return str(v).lower() if isinstance(v, bool) else str(v)
+
+    return "\n".join([header, *(",".join(map(spell, row)) for row in rows)]) + "\n"
+
+
 def profile_csv(rows: list[ProfileRow], in_level: list[bool]) -> str:
-    out = ["defiers,log_likelihood,mass,in_95_set"]
-    for row, flag in zip(rows, in_level):
-        out.append(
-            f"{row.defiers},{fmt_float(row.log_likelihood)},"
-            f"{fmt_float(row.mass)},{str(flag).lower()}"
-        )
-    return "\n".join(out) + "\n"
+    fields = [(*row, flag) for row, flag in zip(rows, in_level)]
+    return _csv("defiers,log_likelihood,mass,in_95_set", fields)
 
 
 def heatmap_csv(cells: list[list[HeatmapCell]]) -> str:
     """One row per cell in row-major (i1, c1) order; tied cells emit one row per estimate."""
-    out = ["i1,c1,mle_at,mle_co,mle_de,mle_nt,tie_count,types,defiers,fisher_p,fisher_reject_5"]
-    for row in cells:
-        for cell in row:
-            for t in cell.mle_set:
-                out.append(
-                    f"{cell.i1},{cell.c1},{t.at},{t.co},{t.de},{t.nt},"
-                    f"{len(cell.mle_set)},{cell.type_signature},{cell.defier_count},"
-                    f"{fmt_float(cell.fisher_p)},{str(cell.fisher_reject_5).lower()}"
-                )
-    return "\n".join(out) + "\n"
+    return _csv(
+        "i1,c1,mle_at,mle_co,mle_de,mle_nt,tie_count,types,defiers,fisher_p,fisher_reject_5",
+        [
+            (c.i1, c.c1, *t.counts(), len(c.mle_set), c.type_signature, c.defier_count,
+             c.fisher_p, c.fisher_reject_5)
+            for row in cells for c in row for t in c.mle_set
+        ],
+    )
 
 
 def rule_comparison_csv(rows: list[RuleComparisonRow]) -> str:
-    out = ["n,eu_mle,eu_frechet,eu_mono,ratio_frechet,ratio_mono"]
-    for r in rows:
-        out.append(
-            f"{r.n},{fmt_float(r.eu_mle)},{fmt_float(r.eu_frechet)},"
-            f"{fmt_float(r.eu_mono)},{fmt_float(r.ratio_frechet)},"
-            f"{fmt_float(r.ratio_mono)}"
-        )
-    return "\n".join(out) + "\n"
+    names = ("n", "eu_mle", "eu_frechet", "eu_mono", "ratio_frechet", "ratio_mono")
+    return _csv(",".join(names), [[getattr(r, name) for name in names] for r in rows])
 
 
 # ---------------------------------------------------------------------------
-# SVG writers (static markup; tests check structure, not bytes)
+# SVG writers (static markup, no plotting dependency)
 
-_CELL_PX = 14  # heatmap cell side
 _CHART_WIDTH, _CHART_HEIGHT = 640, 360  # profile and rule-comparison charts
 
 
-def _svg_header(width: int, height: int) -> list[str]:
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
-    ]
+def _tag(name: str, text: str | list[str] | None = None, **attrs) -> str:
+    """One SVG element, self-closing unless it has text (a list of elements is
+    written one a line).  ``class_`` is written ``class``, other underscores as
+    hyphens (``font_size`` as ``font-size``), booleans as ``true``/``false``."""
+    spelled = "".join([
+        f' {key.rstrip("_").replace("_", "-")}="'
+        f'{str(value).lower() if isinstance(value, bool) else value}"'
+        for key, value in attrs.items()
+    ])
+    if isinstance(text, list):
+        text = "\n".join(["", *text, ""])
+    return f"<{name}{spelled}/>" if text is None else f"<{name}{spelled}>{text}</{name}>"
+
+
+def _svg(width: int, height: int, parts: list[str]) -> str:
+    """A whole figure: ``parts`` one a line inside the root element."""
+    return _tag("svg", parts, xmlns="http://www.w3.org/2000/svg", width=width, height=height,
+                viewBox=f"0 0 {width} {height}") + "\n"
 
 
 def _purple_shade(fraction: float) -> str:
     """Light-to-dark purple ramp; input in [0, 1]."""
     f = min(max(fraction, 0.0), 1.0)
-    r = round(245 - 175 * f)
-    g = round(240 - 200 * f)
-    b = round(250 - 90 * f)
-    return f"rgb({r},{g},{b})"
+    return f"rgb({round(245 - 175 * f)},{round(240 - 200 * f)},{round(250 - 90 * f)})"
 
 
 def heatmap_svg(cells: list[list[HeatmapCell]]) -> str:
@@ -318,66 +324,40 @@ def heatmap_svg(cells: list[list[HeatmapCell]]) -> str:
     the dashed outline bounds the region where the exact test fails to reject
     at the 5% level.
     """
-    m = len(cells) - 1
-    mc = len(cells[0]) - 1
-    margin = 30
-    width = margin * 2 + (m + 1) * _CELL_PX
-    height = margin * 2 + (mc + 1) * _CELL_PX
+    m, mc = len(cells) - 1, len(cells[0]) - 1
+    margin, side = 30, 14  # px; a cell is side by side
+    width = margin * 2 + (m + 1) * side
+    height = margin * 2 + (mc + 1) * side
     max_defiers = max((c.defier_count for row in cells for c in row), default=0) or 1
-    parts = _svg_header(width, height)
-    parts.append('<g class="cells">')
-    for i1 in range(m + 1):
-        for c1 in range(mc + 1):
-            cell = cells[i1][c1]
-            x = margin + i1 * _CELL_PX
-            y = margin + (mc - c1) * _CELL_PX
-            fill = _purple_shade(cell.defier_count / max_defiers)
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{_CELL_PX}" height="{_CELL_PX}" '
-                f'fill="{fill}" data-types="{cell.type_signature}" '
-                f'data-defiers="{cell.defier_count}" '
-                f'data-fisher-reject="{str(cell.fisher_reject_5).lower()}"/>'
-            )
-    parts.append("</g>")
-
-    def boundary_segments(differs) -> list[str]:
-        segs = []
-        for i1 in range(m + 1):
-            for c1 in range(mc + 1):
-                x = margin + i1 * _CELL_PX
-                y = margin + (mc - c1) * _CELL_PX
-                if i1 < m and differs(cells[i1][c1], cells[i1 + 1][c1]):
-                    segs.append(
-                        f'<line x1="{x + _CELL_PX}" y1="{y}" '
-                        f'x2="{x + _CELL_PX}" y2="{y + _CELL_PX}"/>'
-                    )
-                if c1 < mc and differs(cells[i1][c1], cells[i1][c1 + 1]):
-                    segs.append(
-                        f'<line x1="{x}" y1="{y}" x2="{x + _CELL_PX}" y2="{y}"/>'
-                    )
-        return segs
-
-    parts.append(
-        '<g class="type-regions" stroke="black" stroke-width="1" '
-        'stroke-dasharray="1,2" fill="none">'
-    )
-    parts += boundary_segments(lambda a, b: a.type_signature != b.type_signature)
-    parts.append("</g>")
-    parts.append(
-        '<g class="fisher-boundary" stroke="grey" stroke-width="1.5" '
-        'stroke-dasharray="4,3" fill="none">'
-    )
-    parts += boundary_segments(lambda a, b: a.fisher_reject_5 != b.fisher_reject_5)
-    parts.append("</g>")
-    parts.append(
-        f'<text x="{margin}" y="{height - 8}" font-size="10">takeup in intervention '
-        f"(0...{m})</text>"
-    )
-    parts.append(
-        f'<text x="8" y="{margin - 8}" font-size="10">takeup in control (0...{mc})</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    corners = [  # each cell with its top left corner
+        (cells[i1][c1], i1, c1, margin + i1 * side, margin + (mc - c1) * side)
+        for i1 in range(m + 1) for c1 in range(mc + 1)
+    ]
+    rects = [
+        _tag("rect", x=x, y=y, width=side, height=side,
+             fill=_purple_shade(cell.defier_count / max_defiers),
+             data_types=cell.type_signature, data_defiers=cell.defier_count,
+             data_fisher_reject=cell.fisher_reject_5)
+        for cell, _, _, x, y in corners
+    ]
+    parts = [_tag("g", rects, class_="cells")]
+    for class_, stroke, stroke_width, dash, attr in (
+        ("type-regions", "black", 1, "1,2", "type_signature"),
+        ("fisher-boundary", "grey", 1.5, "4,3", "fisher_reject_5"),
+    ):
+        segments = []
+        for cell, i1, c1, x, y in corners:
+            if i1 < m and getattr(cell, attr) != getattr(cells[i1 + 1][c1], attr):
+                segments.append(_tag("line", x1=x + side, y1=y, x2=x + side, y2=y + side))
+            if c1 < mc and getattr(cell, attr) != getattr(cells[i1][c1 + 1], attr):
+                segments.append(_tag("line", x1=x, y1=y, x2=x + side, y2=y))
+        parts.append(_tag("g", segments, class_=class_, stroke=stroke,
+                          stroke_width=stroke_width, stroke_dasharray=dash, fill="none"))
+    parts += [
+        _tag("text", f"takeup in intervention (0...{m})", x=margin, y=height - 8, font_size=10),
+        _tag("text", f"takeup in control (0...{mc})", x=8, y=margin - 8, font_size=10),
+    ]
+    return _svg(width, height, parts)
 
 
 def profile_svg(rows: list[ProfileRow], in_level: list[bool]) -> str:
@@ -387,32 +367,21 @@ def profile_svg(rows: list[ProfileRow], in_level: list[bool]) -> str:
     plot_h = _CHART_HEIGHT - 2 * margin
     max_mass = max((r.mass for r in rows), default=0.0) or 1.0
     bar_w = plot_w / max(len(rows), 1)
-    parts = _svg_header(_CHART_WIDTH, _CHART_HEIGHT)
-    parts.append('<g class="bars">')
+    bars = []
     for k, (row, inside) in enumerate(zip(rows, in_level)):
         h = plot_h * row.mass / max_mass
-        x = margin + k * bar_w
-        y = margin + plot_h - h
-        fill = "#5b3a8c" if inside else "#cbb8e6"
-        parts.append(
-            f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w * 0.85:.2f}" '
-            f'height="{h:.2f}" fill="{fill}" data-defiers="{row.defiers}" '
-            f'data-in-level="{str(inside).lower()}"/>'
-        )
-    parts.append("</g>")
-    parts.append(
-        f'<line x1="{margin}" y1="{margin + plot_h}" x2="{margin + plot_w}" '
-        f'y2="{margin + plot_h}" stroke="black"/>'
-    )
-    parts.append(
-        f'<text x="{margin}" y="{_CHART_HEIGHT - 10}" font-size="11">defiers '
-        f"({rows[0].defiers}...{rows[-1].defiers})</text>"
-    )
-    parts.append(
-        f'<text x="10" y="{margin - 10}" font-size="11">normalized mass</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        bars.append(_tag("rect", x=f"{margin + k * bar_w:.2f}", y=f"{margin + plot_h - h:.2f}",
+                         width=f"{bar_w * 0.85:.2f}", height=f"{h:.2f}",
+                         fill="#5b3a8c" if inside else "#cbb8e6", data_defiers=row.defiers,
+                         data_in_level=inside))
+    return _svg(_CHART_WIDTH, _CHART_HEIGHT, [
+        _tag("g", bars, class_="bars"),
+        _tag("line", x1=margin, y1=margin + plot_h, x2=margin + plot_w, y2=margin + plot_h,
+             stroke="black"),
+        _tag("text", f"defiers ({rows[0].defiers}...{rows[-1].defiers})", x=margin,
+             y=_CHART_HEIGHT - 10, font_size=11),
+        _tag("text", "normalized mass", x=10, y=margin - 10, font_size=11),
+    ])
 
 
 def rule_comparison_svg(rows: list[RuleComparisonRow]) -> str:
@@ -421,11 +390,11 @@ def rule_comparison_svg(rows: list[RuleComparisonRow]) -> str:
     plot_w = _CHART_WIDTH - 2 * margin
     plot_h = _CHART_HEIGHT - 2 * margin
     xs = [r.n for r in rows]
-    series = {
-        "ratio-frechet": [r.ratio_frechet for r in rows],
-        "ratio-mono": [r.ratio_mono for r in rows],
-    }
-    top = max(v for vals in series.values() for v in vals)
+    series = [  # class, colour, legend, ratios
+        ("ratio-frechet", "#1f77b4", "uniform-in-set", [r.ratio_frechet for r in rows]),
+        ("ratio-mono", "#d62728", "monotonicity", [r.ratio_mono for r in rows]),
+    ]
+    top = max(v for *_, vals in series for v in vals)
     lo, hi = 1.0, max(top, 1.0 + 1e-9)
     x0, x1 = min(xs), max(xs)
 
@@ -435,33 +404,19 @@ def rule_comparison_svg(rows: list[RuleComparisonRow]) -> str:
     def py(v: float) -> float:
         return margin + plot_h * (1 - (v - lo) / (hi - lo))
 
-    parts = _svg_header(_CHART_WIDTH, _CHART_HEIGHT)
-    colors = {"ratio-frechet": "#1f77b4", "ratio-mono": "#d62728"}
-    for name, vals in series.items():
-        points = " ".join(f"{px(n):.2f},{py(v):.2f}" for n, v in zip(xs, vals))
-        parts.append(
-            f'<polyline class="{name}" fill="none" stroke="{colors[name]}" '
-            f'stroke-width="2" points="{points}"/>'
-        )
-    parts.append(
-        f'<line x1="{margin}" y1="{py(1.0)}" x2="{margin + plot_w}" '
-        f'y2="{py(1.0)}" stroke="#888" stroke-dasharray="3,3"/>'
-    )
-    parts.append(
-        f'<text x="{margin}" y="{_CHART_HEIGHT - 12}" font-size="11">sample size '
-        f"({x0}...{x1})</text>"
-    )
-    parts.append(
-        f'<text x="10" y="{margin - 12}" font-size="11">Bayes expected utility '
-        "ratio (maximum likelihood rule over alternative)</text>"
-    )
-    parts.append(
-        f'<text x="{_CHART_WIDTH - margin - 170}" y="{margin}" font-size="11" '
-        f'fill="{colors["ratio-frechet"]}">over uniform-in-set rule</text>'
-    )
-    parts.append(
-        f'<text x="{_CHART_WIDTH - margin - 170}" y="{margin + 16}" font-size="11" '
-        f'fill="{colors["ratio-mono"]}">over monotonicity rule</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts = [
+        _tag("polyline", class_=name, fill="none", stroke=color, stroke_width=2,
+             points=" ".join(f"{px(n):.2f},{py(v):.2f}" for n, v in zip(xs, vals)))
+        for name, color, _, vals in series
+    ]
+    parts += [
+        _tag("line", x1=margin, y1=py(1.0), x2=margin + plot_w, y2=py(1.0), stroke="#888",
+             stroke_dasharray="3,3"),
+        _tag("text", f"sample size ({x0}...{x1})", x=margin, y=_CHART_HEIGHT - 12,
+             font_size=11),
+        _tag("text", "Bayes expected utility ratio (maximum likelihood rule over alternative)",
+             x=10, y=margin - 12, font_size=11),
+        *(_tag("text", f"over {legend} rule", x=_CHART_WIDTH - margin - 170, y=margin + 16 * k,
+               font_size=11, fill=color) for k, (_, color, legend, _) in enumerate(series)),
+    ]
+    return _svg(_CHART_WIDTH, _CHART_HEIGHT, parts)

@@ -286,17 +286,28 @@ def test_heatmap_mirrors_share_a_fill_with_equal_arms(monkeypatch, m, fills, cel
 
 
 def test_heatmap_reports_each_row_once_all_its_cells_are_decided(monkeypatch):
-    # one pair of arm-swap mirrors per batch: row 0 is done after the third
-    # fill (cells (0,0), then (0,1) with (1,0), then (0,2) with (2,0))
+    # 32 cells a batch: one pair of arm-swap mirrors per batch where both boxes
+    # fit, so row 0 is done after the third fill (cells (0,0), then (0,1) with
+    # (1,0), then (0,2) with (2,0)); (1,2) and (2,1), 32 cells each, go alone
     made, reported = [], []
-    monkeypatch.setattr(evaluation, "_BATCH_CELLS", 1)
+    monkeypatch.setattr(evaluation, "_BATCH_CELLS", 32)
     monkeypatch.setattr(
         evaluation,
         "assignment_count_grid",
         lambda x, box: made.append(x) or assignment_count_grid(x, box),
     )
     heatmap(4, 2, progress=lambda line: reported.append((line, len(made))))
-    assert reported == [(f"heatmap row i1={i} of 2", fills) for i, fills in enumerate((3, 5, 6))]
+    assert reported == [(f"heatmap row i1={i} of 2", fills) for i, fills in enumerate((3, 5, 7))]
+
+
+@pytest.mark.parametrize("n", [50, 60, 80, 100])
+def test_batches_keep_the_cell_budget_and_hold_each_realization_once(n):
+    xs = evaluation._data_space(n, CompletelyRandomized(n // 2, n))
+    batches = list(evaluation._batches(xs))
+    assert sorted(k for batch in batches for k in batch) == list(range(len(xs)))
+    for batch in batches:
+        cells = sum(math.prod(box_shape(*xs[k].counts())) for k in batch)
+        assert len(batch) == 1 or cells <= evaluation._BATCH_CELLS
 
 
 def test_heatmap_budget_guard():

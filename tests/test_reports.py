@@ -67,6 +67,30 @@ def test_report_json_golden_bytes(name):
     assert report_to_json(analyze(GOLDEN_CASES[name])) == expected
 
 
+def _profile(x, design):
+    rows = frechet_profile(frechet_set(estimate_marginals(x, design)), x, design)
+    return rows, profile_level_flags(rows, 0.95)
+
+
+# Expected figure and CSV bytes live in golden/<name>.
+FIGURE_CASES = {
+    "heatmap_6_3.svg": lambda: heatmap_svg(heatmap(6, 3)),
+    "heatmap_6_3.csv": lambda: heatmap_csv(heatmap(6, 3)),
+    "heatmap_8_4.svg": lambda: heatmap_svg(heatmap(8, 4)),  # its Fisher layer has segments
+    "rules_2_4_6.svg": lambda: rule_comparison_svg(rule_comparison_curve([2, 4, 6])),
+    "rules_2_4_6.csv": lambda: rule_comparison_csv(rule_comparison_curve([2, 4, 6])),
+    "profile_six_person.svg": lambda: profile_svg(*_profile(SIX, CR6)),
+    "profile_six_person.csv": lambda: profile_csv(*_profile(SIX, CR6)),
+    "profile_organ_donation.svg": lambda: profile_svg(*_profile(ORGAN, ORGAN_CR)),
+    "profile_organ_donation.csv": lambda: profile_csv(*_profile(ORGAN, ORGAN_CR)),
+}
+
+
+@pytest.mark.parametrize("name", list(FIGURE_CASES))
+def test_figure_and_csv_golden_bytes(name):
+    assert FIGURE_CASES[name]().encode() == (GOLDEN / name).read_bytes()
+
+
 def test_analyze_deterministic():
     a = analyze(AnalysisRequest(design=CR6, data=SIX))
     b = analyze(AnalysisRequest(design=CR6, data=SIX))
