@@ -7,11 +7,11 @@ utility averages that over a uniform prior on the parameter grid.  Everything
 here is computed by full enumeration, so results are exact up to float64
 rounding.
 
-The Bayes pass and the heatmap decide realizations in batches (``Batch``)
-whose support boxes share one buffer of at most ``_BATCH_CELLS`` cells; a rule,
-or the heatmap's one ``_argmax_ties`` call, decides a whole batch.  A
-realization and its arm-swap mirror share one fill wherever the box is exact
-and both boxes fit one batch.
+The Bayes pass and the heatmap decide realizations in batches (``Batch``) of
+whole relabeling orbits: swapping the arms, the outcomes or both maps one
+realization's likelihood onto another's.  An orbit shares one fill and one
+maximizer scan wherever its box is exact, in a buffer of at most
+``_BATCH_CELLS`` cells, and a rule decides a whole batch at once.
 """
 from __future__ import annotations
 
@@ -43,36 +43,67 @@ BAYES_MAX_N_BERNOULLI = 24
 # Heatmaps beyond this size run only when explicitly forced.
 HEATMAP_MAX_N = 60
 
-# Box cells of one batch of the Bayes pass (1 MB); a larger box is a batch alone.
+# Buffer cells of one batch (1 MB) as ``_orbits`` counts them; a realization of more is alone.
 _BATCH_CELLS = 1 << 17
 
 WeightedGuess = Sequence[tuple[Theta, float]]
 
+# For each relabeling g of the data, as ``_relabeled`` lists them, the permutation of
+# (at, co, de, nt) that keeps the likelihood: L(theta, g x) = L(g theta, x), and g = g^-1.
+_PERMS = ((0, 1, 2, 3), (0, 2, 1, 3), (3, 2, 1, 0), (3, 1, 2, 0))
+
+
+def _relabeled(counts: tuple[int, int, int, int]) -> list[tuple[int, int, int, int]]:
+    """(i1, i0, c1, c0) as is, arms swapped (C <-> D), outcomes swapped (A <-> N, C <-> D), both."""
+    i1, i0, c1, c0 = counts
+    return [(i1, i0, c1, c0), (c1, c0, i1, i0), (i0, i1, c0, c1), (c0, c1, i0, i1)]
+
+
+def _orbits(xs: Sequence[ExperimentData]):
+    """Positions in ``xs`` by relabeling orbit, smallest box first, with their box
+    sizes and the orbit's buffer cells: its smallest box where C(n, m), for m
+    subjects in intervention, bounds every count below ``EXACT_FLOAT_LIMIT`` (so
+    the orbit shares that box), and all its boxes otherwise."""
+    orbits: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for k, x in enumerate(xs):
+        counts = x.counts()
+        orbits.setdefault(min(_relabeled(counts)), []).append((math.prod(box_shape(*counts)), k))
+    for members in orbits.values():
+        sizes, orbit = map(list, zip(*sorted(members)))
+        sure = math.comb(xs[orbit[0]].n, xs[orbit[0]].intervention_size) < EXACT_FLOAT_LIMIT
+        yield orbit, sizes, sizes[0] if sure else sum(sizes)
+
 
 class Batch:
-    """Data realizations of one n, with their support boxes in one buffer.
+    """Data realizations ``xs`` of one n, with one filled support box per relabeling orbit.
 
-    ``boxes[k]`` holds ``assignment_count_grid(xs[k])`` as a view of ``buffer``
-    from ``offsets[k]`` of shape ``shapes[:, k]``; the buffer's last cell, in no
-    box, is 0.  Right after its arm-swap mirror (c1, c0, i1, i0), a realization
-    takes the mirror's box transposed (compliers and defiers trade places) if
-    its top is below ``EXACT_FLOAT_LIMIT``: both fills are exact there.
+    ``boxes[b]``, ``assignment_count_grid(xs[filled[b]])``, is a view of ``buffer``
+    from ``offsets[b]`` of shape ``shapes[:, b]``; the buffer's last cell is 0.
+    Realization k's likelihood at (at, co, de, nt) is box ``box_of[k]``'s cell at
+    the first three of ``(at, co, de, nt)[perm[k]]``, 0 outside it.  An orbit reads
+    the box of its member with the fewest cells where its top is below
+    ``EXACT_FLOAT_LIMIT``, so every box of the orbit is exact; else each fills its own.
     """
 
     def __init__(self, xs: Sequence[ExperimentData]):
-        self.xs, self.n = list(xs), xs[0].n
-        self.shapes = np.array([box_shape(*x.counts()) for x in self.xs], dtype=np.int64).T
-        sizes = self.shapes.prod(axis=0)
-        self.offsets = np.cumsum(sizes) - sizes
-        self.buffer, self.boxes = np.zeros(int(sizes.sum()) + 1), []
-        for k, (x, start, shape) in enumerate(zip(self.xs, self.offsets, self.shapes.T)):
-            box = self.buffer[start : start + sizes[k]].reshape(shape)
-            mirror = k > 0 and self.xs[k - 1].counts() == (x.c1, x.c0, x.i1, x.i0)
-            if mirror and self.boxes[-1].max() < EXACT_FLOAT_LIMIT:
-                box[...] = self.boxes[-1].transpose(0, 2, 1)
-            else:
-                assignment_count_grid(x, box)  # fills the zeroed view in place
-            self.boxes.append(box)
+        self.xs, self.n, orbits = list(xs), xs[0].n, list(_orbits(xs))
+        self.buffer = np.zeros(sum(room for *_, room in orbits) + 1)
+        self.box_of, self.perm = np.zeros(len(xs), np.int64), np.tile(_PERMS[0], (len(xs), 1))
+        self.filled, self.boxes, start = [], [], 0
+        for orbit, sizes, _ in orbits:
+            exact = False  # the orbit's last box is exact, so the rest of it reads that box
+            for k, size in zip(orbit, sizes):
+                counts = self.xs[k].counts()
+                if exact:  # through the relabeling that takes xs[k] to the box's own data
+                    self.box_of[k] = len(self.boxes) - 1
+                    self.perm[k] = _PERMS[_relabeled(counts).index(self.xs[self.filled[-1]].counts())]
+                    continue
+                self.boxes.append(self.buffer[start : start + size].reshape(box_shape(*counts)))
+                exact = assignment_count_grid(self.xs[k], self.boxes[-1]).max() < EXACT_FLOAT_LIMIT
+                self.box_of[k], start = len(self.filled), start + size
+                self.filled.append(k)
+        self.offsets = np.cumsum([0] + [box.size for box in self.boxes])[:-1]
+        self.shapes = np.array([box.shape for box in self.boxes], dtype=np.int64).T
 
 
 # A decision rule decides a batch at once: rule(batch, design) -> (owner, flat,
@@ -81,15 +112,28 @@ class Batch:
 DecisionRule = Callable[[Batch, Design], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
+def _maximizers(batch: Batch, monotone: bool | None) -> tuple[np.ndarray, np.ndarray]:
+    """Every realization's maximizers as (owner, flat), ascending flat within each owner:
+    those of its box, scanned once, through its relabeling, which keeps the monotone set."""
+    flat, _, box = _argmax_ties(batch.boxes, [batch.xs[k] for k in batch.filled], monotone)
+    found, index = np.bincount(box, minlength=len(batch.boxes)), theta_index(batch.n)
+    per = found[batch.box_of]  # each owner takes its box's run of maximizers
+    owner = np.repeat(np.arange(per.size), per)
+    pick = (np.cumsum(found) - found)[batch.box_of[owner]] - (np.cumsum(per) - per)[owner]
+    pick += np.arange(owner.size)
+    at, co, de, _ = np.stack(index.components(flat))[batch.perm[owner].T, pick]
+    return np.divmod(np.sort(owner * index.size + index.flatten(at, co, de)), index.size)
+
+
 def MAX_LIKELIHOOD_RULE(batch: Batch, design: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every likelihood maximizer, with equal weights."""
-    flat, _, owner = _argmax_ties(batch.boxes, batch.xs, None)
+    owner, flat = _maximizers(batch, None)
     return owner, flat, 1.0 / np.bincount(owner)[owner]
 
 
 def MONOTONICITY_RULE(batch: Batch, design: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every maximizer among no-defier or no-complier vectors, with equal weights."""
-    flat, _, owner = _argmax_ties(batch.boxes, batch.xs, True)
+    owner, flat = _maximizers(batch, True)
     return owner, flat, 1.0 / np.bincount(owner)[owner]
 
 
@@ -159,23 +203,17 @@ def _thread_map(fn, items, threads: int | None):
 
 
 def _batches(xs: list[ExperimentData]):
-    """Positions in ``xs`` by batch of at most ``_BATCH_CELLS`` box cells (a
-    larger box is a batch alone), each realization followed by its arm-swap
-    mirror where ``xs`` holds that too and the two boxes fit one batch."""
-    where = {x.counts(): k for k, x in enumerate(xs)}
+    """Positions in ``xs`` by batch of at most ``_BATCH_CELLS`` buffer cells:
+    each relabeling orbit (see ``_orbits``) whole where its cells fit one batch,
+    and one realization at a time otherwise."""
     batch, cells = [], 0
-    for k, x in enumerate(xs):
-        i1, i0, c1, c0 = x.counts()
-        box = math.prod(box_shape(i1, i0, c1, c0))  # the mirror's box has as many cells
-        mirror = where.get((c1, c0, i1, i0), k) if 2 * box <= _BATCH_CELLS else k
-        if mirror < k:  # already placed after its mirror
-            continue
-        pair = [k] if mirror == k else [k, mirror]
-        size = box * len(pair)
-        if batch and cells + size > _BATCH_CELLS:
-            yield batch
-            batch, cells = [], 0
-        batch, cells = batch + pair, cells + size
+    for orbit, sizes, room in _orbits(xs):
+        whole = room <= _BATCH_CELLS
+        for group, size in [(orbit, room)] if whole else [([k], s) for k, s in zip(orbit, sizes)]:
+            if batch and cells + size > _BATCH_CELLS:
+                yield batch
+                batch, cells = [], 0
+            batch, cells = batch + group, cells + size
     yield batch
 
 
@@ -192,8 +230,8 @@ def rule_eu_vectors(
     """
     _check_bayes_budget(n, design)
     size = theta_index(n).size
-    # (at, co, de) of every flat index, decoded once for all realizations
-    decoded = np.stack(theta_index(n).components(np.arange(size))[:3])
+    # (at, co, de, nt) of every flat index, decoded once for all realizations
+    decoded = np.stack(theta_index(n).components(np.arange(size)))
     xs = _data_space(n, design)
 
     def column(positions: list[int]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -203,10 +241,12 @@ def rule_eu_vectors(
         parts = []
         for rule in rules:
             owner, flat, weight = rule(batch, design)
-            (at, co, de), (shape_at, shape_co, shape_de) = decoded[:, flat], batch.shapes[:, owner]
+            box = batch.box_of[owner]
+            (at, co, de, _), (shape_at, shape_co, shape_de) = (
+                decoded[batch.perm[owner].T, flat], batch.shapes[:, box])
             # a guess outside its box (a Fréchet member can be) reads the buffer's last cell, 0
             inside = (at < shape_at) & (co < shape_co) & (de < shape_de)
-            cells = batch.offsets[owner] + (at * shape_co + co) * shape_de + de
+            cells = batch.offsets[box] + (at * shape_co + co) * shape_de + de
             likelihood = batch.buffer[np.where(inside, cells, batch.buffer.size - 1)]
             parts.append((np.array(positions)[owner], flat, likelihood * (weight * scale[owner])))
         return parts
@@ -317,8 +357,8 @@ def heatmap(
 ) -> list[list[HeatmapCell]]:
     """MLE of every possible data realization, as cells[i1][c1].
 
-    Realizations are decided in the Bayes pass's batches, so with equal arms a
-    cell and its arm-swap mirror share one fill.  Each row is reported to
+    Realizations are decided in the Bayes pass's batches, so the cells that
+    relabel into one another share one fill and one scan.  Each row is reported to
     ``progress`` once all its cells are decided.  Work grows with the fourth
     power of n; sizes beyond ``HEATMAP_MAX_N`` require ``force=True``.
     """
@@ -335,7 +375,7 @@ def heatmap(
     row = 0  # the next row to report
     for positions in _batches(xs):
         group = [xs[k] for k in positions]
-        flat, _, owner = _argmax_ties(Batch(group).boxes, group, None)  # buffer freed on return
+        owner, flat = _maximizers(Batch(group), None)  # buffer freed on return
         thetas, bounds = _thetas_from_flat(n, flat), np.searchsorted(owner, range(len(group) + 1))
         for x, lo, hi in zip(group, bounds, bounds[1:]):
             ties = thetas[lo:hi]

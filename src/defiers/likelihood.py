@@ -264,7 +264,7 @@ def _band_edges(i1: int, c0: int, bands: int) -> list[int]:
     co = np.arange(i1 + c0 + 1)  # takes the (a_i, c_c) pairs with i1 - a_i + c_c = co
     through = np.cumsum(np.minimum(i1, i1 + c0 - co) - np.maximum(0, i1 - co) + 1)
     ends = np.searchsorted(through, np.arange(1, bands + 1) * through[-1] / bands) + 1
-    return [0, *np.unique(ends).tolist()]
+    return [0, *dict.fromkeys(ends.tolist())]  # non-decreasing; np.unique would load numpy.ma
 
 
 def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> np.ndarray:

@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from defiers.core import (
     Bernoulli,
@@ -44,7 +44,7 @@ from defiers.evaluation import (
     rule_eu_vectors,
 )
 
-from grid_reference import reference_grid, tables
+from grid_reference import canonical, reference_grid, tables
 
 
 def brute_force_eu(rule_decide, theta, m):
@@ -167,6 +167,14 @@ def test_rule_comparison_curve_small():
         rule_comparison_curve([3])
 
 
+def test_the_mle_gains_with_n_over_the_whole_curve():
+    # the gain grows with the sample size wherever exhaustive search is possible
+    rows = rule_comparison_curve(range(2, 51, 2))
+    frechet, mono = [r.ratio_frechet for r in rows], [r.ratio_mono for r in rows]
+    assert all(a < b for a, b in zip(frechet, frechet[1:]))
+    assert all(a <= b for a, b in zip(mono, mono[1:]))
+
+
 def test_bayes_budget_guard():
     with pytest.raises(BudgetExceededError):
         bayes_expected_utility(
@@ -273,8 +281,19 @@ def test_heatmap_cells_are_the_mle(n):
                 assert cell.mle_set == mle(x, CompletelyRandomized(m, n)).maximizers
 
 
-@pytest.mark.parametrize("m, fills, cells", [(6, 28, 49), (5, 48, 48)])
-def test_heatmap_mirrors_share_a_fill_with_equal_arms(monkeypatch, m, fills, cells):
+def test_heatmap_cells_at_the_acceptance_size_are_the_mle_of_their_own_fill():
+    # heatmap cells come from one fill per relabeling orbit, mle from its own fill
+    design = CompletelyRandomized(25, 50)
+    for row in heatmap(50, 25):
+        for cell in row:
+            x = ExperimentData(cell.i1, 25 - cell.i1, cell.c1, 25 - cell.c1)
+            assert cell.mle_set == mle(x, design).maximizers
+
+
+# orbits of (i1, c1) under the arm swap (c1, i1), which needs equal arms, and the
+# outcome swap (m - i1, n - m - c1): 16 of the 49 cells for m = 6, 24 of 48 for m = 5
+@pytest.mark.parametrize("m, fills, cells", [(6, 16, 49), (5, 24, 48)])
+def test_heatmap_relabeling_orbits_share_a_fill(monkeypatch, m, fills, cells):
     made = []
     monkeypatch.setattr(
         evaluation,
@@ -286,9 +305,10 @@ def test_heatmap_mirrors_share_a_fill_with_equal_arms(monkeypatch, m, fills, cel
 
 
 def test_heatmap_reports_each_row_once_all_its_cells_are_decided(monkeypatch):
-    # 32 cells a batch: one pair of arm-swap mirrors per batch where both boxes
-    # fit, so row 0 is done after the third fill (cells (0,0), then (0,1) with
-    # (1,0), then (0,2) with (2,0)); (1,2) and (2,1), 32 cells each, go alone
+    # 32 cells a batch, an orbit counted at its smallest box and filled once:
+    # (0,0) with (2,2) and (0,1) with (1,0), (1,2), (2,1), 9 + 16 cells, then
+    # (0,2) with (2,0), then (1,1), 27 cells.  So row 0 is done after the third
+    # fill and rows 1 and 2 after the fourth
     made, reported = [], []
     monkeypatch.setattr(evaluation, "_BATCH_CELLS", 32)
     monkeypatch.setattr(
@@ -297,7 +317,7 @@ def test_heatmap_reports_each_row_once_all_its_cells_are_decided(monkeypatch):
         lambda x, box: made.append(x) or assignment_count_grid(x, box),
     )
     heatmap(4, 2, progress=lambda line: reported.append((line, len(made))))
-    assert reported == [(f"heatmap row i1={i} of 2", fills) for i, fills in enumerate((3, 5, 7))]
+    assert reported == [(f"heatmap row i1={i} of 2", fills) for i, fills in enumerate((3, 4, 4))]
 
 
 @pytest.mark.parametrize("n", [50, 60, 80, 100])
@@ -305,9 +325,44 @@ def test_batches_keep_the_cell_budget_and_hold_each_realization_once(n):
     xs = evaluation._data_space(n, CompletelyRandomized(n // 2, n))
     batches = list(evaluation._batches(xs))
     assert sorted(k for batch in batches for k in batch) == list(range(len(xs)))
+
+    def room(orbit):
+        # one box where every count, at most C(n, n/2), is below 2**53; else all
+        sizes = [math.prod(box_shape(*y.counts())) for y in orbit]
+        return min(sizes) if math.comb(n, n // 2) < 2**53 else sum(sizes)
+
     for batch in batches:
-        cells = sum(math.prod(box_shape(*xs[k].counts())) for k in batch)
+        orbits = {}
+        for k in batch:
+            orbits.setdefault(frozenset(relabelings(xs[k])), []).append(xs[k])
+        cells = sum(map(room, orbits.values()))
         assert len(batch) == 1 or cells <= evaluation._BATCH_CELLS
+        if n <= 60:  # the buffer the batch fills (and its one zero cell), here within a second
+            assert evaluation.Batch([xs[k] for k in batch]).buffer.size == cells + 1
+    # an orbit whose room fits one batch lies in one batch, and fits at n = 50
+    batch_of = {xs[k]: j for j, batch in enumerate(batches) for k in batch}
+    for x in xs:
+        orbit = set(relabelings(x))
+        assert room(orbit) <= evaluation._BATCH_CELLS or n > 50
+        if room(orbit) <= evaluation._BATCH_CELLS:
+            assert {batch_of[y] for y in orbit} == {batch_of[x]}
+
+
+def test_the_bayes_pass_fills_and_scans_one_box_per_orbit(monkeypatch):
+    design, made, scanned = CompletelyRandomized(25, 50), [], []
+    monkeypatch.setattr(
+        evaluation,
+        "assignment_count_grid",
+        lambda x, box: made.append(x) or assignment_count_grid(x, box),
+    )
+    monkeypatch.setattr(
+        evaluation,
+        "_argmax_ties",
+        lambda boxes, xs, monotone: scanned.extend(boxes) or inference._argmax_ties(boxes, xs, monotone),
+    )
+    rule_eu_vectors([MAX_LIKELIHOOD_RULE], 50, design)
+    assert len(evaluation._data_space(50, design)) == 676
+    assert len(made) == len(scanned) == 182
 
 
 def test_heatmap_budget_guard():
@@ -391,6 +446,12 @@ def test_batch_frechet_members_are_the_estimated_sets(n):
             assert guesses == [(t, 1.0 / len(members)) for t in members]
 
 
+def relabelings(x):
+    """x, its arm swap, its outcome swap and both, without repeats."""
+    mirror = ExperimentData(x.c1, x.c0, x.i1, x.i0)
+    return list(dict.fromkeys([x, mirror, x.relabeled(), mirror.relabeled()]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(counts=tables(max_n=60))
 def test_the_mirror_box_is_the_box_transposed_where_exact(counts):
@@ -399,14 +460,58 @@ def test_the_mirror_box_is_the_box_transposed_where_exact(counts):
     x, mirror = ExperimentData(*counts), ExperimentData(c1, c0, i1, i0)
     box = assignment_count_grid(x)
     assert box.shape == box_shape(*counts)
-    batch = evaluation.Batch([x, mirror])
-    assert batch.shapes.T.tolist() == [list(box_shape(*counts)), list(box_shape(c1, c0, i1, i0))]
-    assert np.array_equal(batch.boxes[0].view(np.int64), box.view(np.int64))
-    assert np.array_equal(batch.boxes[1], assignment_count_grid(mirror))
     if box.max() < inference.EXACT_FLOAT_LIMIT:
         assert np.array_equal(
             assignment_count_grid(mirror).view(np.int64), box.transpose(0, 2, 1).view(np.int64)
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=tables(max_n=60))
+def test_the_outcome_swapped_box_is_the_box_relabeled_where_exact(counts):
+    # swapping the outcomes swaps A <-> N and C <-> D; swapping the arms too, only A <-> N
+    i1, i0, c1, c0 = counts
+    x = ExperimentData(*counts)
+    box = assignment_count_grid(x)
+    if box.max() >= inference.EXACT_FLOAT_LIMIT:
+        return
+    for swapped, outcomes_only in ((x.relabeled(), True), (ExperimentData(c0, c1, i0, i1), False)):
+        other = assignment_count_grid(swapped)
+        a, c, d = np.indices(other.shape)
+        at, (co, de) = x.n - a - c - d, ((d, c) if outcomes_only else (c, d))
+        # a cell outside x's box, or with more than n subjects, reads 0
+        inside = (at >= 0) & (at < box.shape[0]) & (co < box.shape[1]) & (de < box.shape[2])
+        want = np.zeros(other.shape)
+        want[inside] = box[at[inside], co[inside], de[inside]]
+        assert np.array_equal(other.view(np.int64), want.view(np.int64))
+        assert np.count_nonzero(other) == np.count_nonzero(box)
+
+
+def read_through(batch, k, n):
+    """Realization k's likelihood in canonical order, as the batch contract reads it."""
+    index = theta_index(n)
+    components = np.stack(index.components(np.arange(index.size)))
+    at, co, de, _ = components[batch.perm[k]]
+    return canonical(batch.boxes[batch.box_of[k]], n)[index.flatten(at, co, de)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=tables(max_n=60), other=tables(max_n=60))
+@example(counts=(15, 15, 15, 15), other=(20, 10, 10, 20))  # boxes past the exact limit
+def test_each_realization_reads_its_own_fill_through_the_batch(counts, other):
+    x = ExperimentData(*counts)
+    xs = relabelings(x) + [y for y in [ExperimentData(*other)] if y.n == x.n]
+    batch = evaluation.Batch(xs)
+    for k, y in enumerate(xs):
+        own = canonical(assignment_count_grid(y), y.n)
+        assert np.array_equal(read_through(batch, k, y.n).view(np.int64), own.view(np.int64))
+    for b, box in enumerate(batch.boxes):
+        assert box.shape == tuple(batch.shapes[:, b])
+        assert np.shares_memory(box, batch.buffer)
+        assert batch.box_of[batch.filled[b]] == b
+    # the orbit alone: one fill where its box is exact, one fill each otherwise
+    exact = assignment_count_grid(x).max() < inference.EXACT_FLOAT_LIMIT
+    assert len(evaluation.Batch(relabelings(x)).boxes) == (1 if exact else len(relabelings(x)))
 
 
 def named_rule_vectors(n, design):
@@ -428,7 +533,7 @@ def test_fresh_fills_and_integer_confirmation_keep_the_bits(monkeypatch, n, desi
     def counted(fn, tally):
         return lambda *args: tally.update([args[0]]) or fn(*args)
 
-    # every box counts as inexact: mirrors are filled afresh, ties recounted
+    # every box counts as inexact: each member of an orbit fills its own, ties are recounted
     for module in (evaluation, inference):
         monkeypatch.setattr(module, "EXACT_FLOAT_LIMIT", 1.0)
     monkeypatch.setattr(evaluation, "assignment_count_grid", counted(assignment_count_grid, fills))
