@@ -83,10 +83,12 @@ class Batch:
     the first three of ``(at, co, de, nt)[perm[k]]``, 0 outside it.  An orbit reads
     the box of its member with the fewest cells where its top is below
     ``EXACT_FLOAT_LIMIT``, so every box of the orbit is exact; else each fills its own.
+    ``orbits`` takes that grouping as ``_orbits(xs)`` yields it, where it is already made.
     """
 
-    def __init__(self, xs: Sequence[ExperimentData]):
-        self.xs, self.n, orbits = list(xs), xs[0].n, list(_orbits(xs))
+    def __init__(self, xs: Sequence[ExperimentData], orbits: list | None = None):
+        self.xs, self.n = list(xs), xs[0].n
+        orbits = list(_orbits(xs)) if orbits is None else orbits
         self.buffer = np.zeros(sum(room for *_, room in orbits) + 1)
         self.box_of, self.perm = np.zeros(len(xs), np.int64), np.tile(_PERMS[0], (len(xs), 1))
         self.filled, self.boxes, start = [], [], 0
@@ -203,18 +205,21 @@ def _thread_map(fn, items, threads: int | None):
 
 
 def _batches(xs: list[ExperimentData]):
-    """Positions in ``xs`` by batch of at most ``_BATCH_CELLS`` buffer cells:
-    each relabeling orbit (see ``_orbits``) whole where its cells fit one batch,
-    and one realization at a time otherwise."""
-    batch, cells = [], 0
+    """Batches of at most ``_BATCH_CELLS`` buffer cells, each as its positions in ``xs``
+    and its orbits as ``Batch`` takes them: each relabeling orbit (see ``_orbits``)
+    whole where its cells fit one batch, and one realization at a time otherwise."""
+    batch, orbits, cells = [], [], 0
     for orbit, sizes, room in _orbits(xs):
         whole = room <= _BATCH_CELLS
-        for group, size in [(orbit, room)] if whole else [([k], s) for k, s in zip(orbit, sizes)]:
+        for group, group_sizes, size in (
+            [(orbit, sizes, room)] if whole else [([k], [s], s) for k, s in zip(orbit, sizes)]
+        ):
             if batch and cells + size > _BATCH_CELLS:
-                yield batch
-                batch, cells = [], 0
+                yield batch, orbits
+                batch, orbits, cells = [], [], 0
+            orbits.append((list(range(len(batch), len(batch) + len(group))), group_sizes, size))
             batch, cells = batch + group, cells + size
-    yield batch
+    yield batch, orbits
 
 
 def rule_eu_vectors(
@@ -234,8 +239,9 @@ def rule_eu_vectors(
     decoded = np.stack(theta_index(n).components(np.arange(size)))
     xs = _data_space(n, design)
 
-    def column(positions: list[int]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        batch = Batch([xs[k] for k in positions])
+    def column(item: tuple[list[int], list]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        positions, orbits = item
+        batch = Batch([xs[k] for k in positions], orbits)
         # P(one assignment) of each realization
         scale = np.array([math.exp(_log_likelihood_of_count(1, x, design)) for x in batch.xs])
         parts = []
@@ -373,9 +379,9 @@ def heatmap(
     xs = _data_space(n, CompletelyRandomized(m, n))
     cells: list[list[HeatmapCell | None]] = [[None] * (n - m + 1) for _ in range(m + 1)]
     row = 0  # the next row to report
-    for positions in _batches(xs):
+    for positions, orbits in _batches(xs):
         group = [xs[k] for k in positions]
-        owner, flat = _maximizers(Batch(group), None)  # buffer freed on return
+        owner, flat = _maximizers(Batch(group, orbits), None)  # buffer freed on return
         thetas, bounds = _thetas_from_flat(n, flat), np.searchsorted(owner, range(len(group) + 1))
         for x, lo, hi in zip(group, bounds, bounds[1:]):
             ties = thetas[lo:hi]

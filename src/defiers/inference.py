@@ -327,6 +327,13 @@ class CredibleSummary:
 
     The four ranges are taken over members of one joint set, so they are
     dependent: combining the four extremes need not give a member.
+
+    Below ``EXACT_FLOAT_LIMIT`` membership is decided in integers, with the
+    level read as the decimal it prints as (above it, ``boundary_verified_exact``
+    says whether the boundary was confirmed).  ``achieved_mass`` is the float
+    sum of the members' masses, so it can read an ulp below the level that they
+    reach exactly: 0.9499999999999997 for (14, 1, 2, 0) with m = 15, whose 49
+    members hold exactly 19/20.
     """
 
     level: float

@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -368,3 +369,13 @@ def test_module_entry_point_exit_codes(argv, code):
         timeout=120,
     )
     assert proc.returncode == code, proc.stderr
+
+
+def test_module_entry_point_runs_in_process(monkeypatch, capsys):
+    # the same entry line, run where the test process can trace it
+    monkeypatch.setattr(sys, "argv", ["defiers.cli", "monty"])
+    monkeypatch.delitem(sys.modules, "defiers.cli")  # a fresh module, as `-m` runs it
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("defiers.cli", run_name="__main__")
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("car-absent: 1/2")

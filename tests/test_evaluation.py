@@ -320,10 +320,25 @@ def test_heatmap_reports_each_row_once_all_its_cells_are_decided(monkeypatch):
     assert reported == [(f"heatmap row i1={i} of 2", fills) for i, fills in enumerate((3, 4, 4))]
 
 
+@pytest.mark.parametrize(
+    "run, n, m",
+    [
+        (lambda: rule_eu_vectors([MAX_LIKELIHOOD_RULE], 20, CompletelyRandomized(10, 20)), 20, 10),
+        (lambda: heatmap(12, 6), 12, 6),
+    ],
+    ids=["rule_eu_vectors", "heatmap"],
+)
+def test_each_realization_is_grouped_into_its_orbit_once(monkeypatch, run, n, m):
+    grouped, orbits = Counter(), evaluation._orbits
+    monkeypatch.setattr(evaluation, "_orbits", lambda xs: grouped.update(xs) or orbits(xs))
+    run()
+    assert grouped == Counter(evaluation._data_space(n, CompletelyRandomized(m, n)))
+
+
 @pytest.mark.parametrize("n", [50, 60, 80, 100])
 def test_batches_keep_the_cell_budget_and_hold_each_realization_once(n):
     xs = evaluation._data_space(n, CompletelyRandomized(n // 2, n))
-    batches = list(evaluation._batches(xs))
+    batches, orbits_of = zip(*evaluation._batches(xs))
     assert sorted(k for batch in batches for k in batch) == list(range(len(xs)))
 
     def room(orbit):
@@ -331,14 +346,20 @@ def test_batches_keep_the_cell_budget_and_hold_each_realization_once(n):
         sizes = [math.prod(box_shape(*y.counts())) for y in orbit]
         return min(sizes) if math.comb(n, n // 2) < 2**53 else sum(sizes)
 
-    for batch in batches:
+    for batch, handed in zip(batches, orbits_of):
         orbits = {}
         for k in batch:
             orbits.setdefault(frozenset(relabelings(xs[k])), []).append(xs[k])
         cells = sum(map(room, orbits.values()))
         assert len(batch) == 1 or cells <= evaluation._BATCH_CELLS
-        if n <= 60:  # the buffer the batch fills (and its one zero cell), here within a second
-            assert evaluation.Batch([xs[k] for k in batch]).buffer.size == cells + 1
+        # the grouping handed to Batch is the batch's own where every orbit is whole
+        group = [xs[k] for k in batch]
+        if n <= 60:
+            assert handed == list(evaluation._orbits(group))
+            # the buffer the batch fills (and its one zero cell), here within a second
+            assert evaluation.Batch(group, handed).buffer.size == cells + 1
+        else:  # each listed once, in batch order
+            assert sorted(k for orbit, *_ in handed for k in orbit) == list(range(len(batch)))
     # an orbit whose room fits one batch lies in one batch, and fits at n = 50
     batch_of = {xs[k]: j for j, batch in enumerate(batches) for k in batch}
     for x in xs:
