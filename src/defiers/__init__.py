@@ -10,17 +10,23 @@ decision rules by exact Bayes expected utility.
 
 The package root re-exports the names the README documents; every other
 name is importable from its module.
+
+Importing the package before numpy loads numpy with one BLAS thread, so the
+program's own numpy linear algebra runs single-threaded (a cost not measured);
+import numpy first, or set ``OPENBLAS_NUM_THREADS``, to keep a BLAS pool.
 """
 import os
 
 # OpenBLAS starts a worker per extra CPU as numpy loads, which spins before it sleeps; this
 # package calls no BLAS routine (on a 2-vCPU VM, numpy's import and a sleep took 0.20 s of CPU
-# with the worker, 0.14 s without).  So numpy loads with one BLAS thread unless a count is set,
-# and the variable goes again for child processes.  For a pool, import numpy first or set it.
+# with the worker, 0.14 s without).  So numpy loads with one BLAS thread unless a count is
+# set, and the variable goes again on every path, so child processes do not inherit it.
 if not os.environ.keys() & {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    import numpy
-    del os.environ["OPENBLAS_NUM_THREADS"]
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .core import (
     Bernoulli,

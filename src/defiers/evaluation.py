@@ -83,12 +83,15 @@ class Batch:
     the first three of ``(at, co, de, nt)[perm[k]]``, 0 outside it.  An orbit reads
     the box of its member with the fewest cells where its top is below
     ``EXACT_FLOAT_LIMIT``, so every box of the orbit is exact; else each fills its own.
-    ``orbits`` takes that grouping as ``_orbits(xs)`` yields it, where it is already made.
+    ``orbits`` takes that grouping as ``_orbits(xs)`` yields it, where it is already made;
+    it must list each position of ``xs`` exactly once.
     """
 
     def __init__(self, xs: Sequence[ExperimentData], orbits: list | None = None):
         self.xs, self.n = list(xs), xs[0].n
         orbits = list(_orbits(xs)) if orbits is None else orbits
+        if sorted(k for orbit, *_ in orbits for k in orbit) != list(range(len(xs))):
+            raise ValueError("orbits must list each position of xs exactly once")
         self.buffer = np.zeros(sum(room for *_, room in orbits) + 1)
         self.box_of, self.perm = np.zeros(len(xs), np.int64), np.tile(_PERMS[0], (len(xs), 1))
         self.filled, self.boxes, start = [], [], 0
@@ -429,15 +432,21 @@ def defier_region_check(n: int, *, force: bool = False) -> RegionCheckResult:
     """
     if n % 2 != 0 or n <= 0:
         raise ValueError(f"region check needs positive even n, got {n}")
-    m = n // 2
-    cells = heatmap(n, m, force=force)
-    bad = []
-    for i1 in range(m + 1):
-        for c1 in range(n - m + 1):
-            in_region = 2 * c1 < (n - m) and 2 * i1 > m and c1 != 0 and i1 != m
-            if in_region and cells[i1][c1].defier_count == 0:
-                bad.append((i1, c1))
+    bad = defier_region_counterexamples(heatmap(n, n // 2, force=force))
     return RegionCheckResult(n=n, passed=not bad, counterexamples=tuple(bad))
+
+
+def defier_region_counterexamples(cells: list[list[HeatmapCell]]) -> list[tuple[int, int]]:
+    """Cells where ``defier_region_check``'s claim fails: takeup strictly below half
+    in control and above half in intervention, neither zero in control nor full in
+    intervention, yet no maximizer with defiers."""
+    m, mc = len(cells) - 1, len(cells[0]) - 1
+    return [
+        (i1, c1)
+        for i1 in range(m + 1)
+        for c1 in range(mc + 1)
+        if 2 * c1 < mc and 2 * i1 > m and c1 != 0 and i1 != m and cells[i1][c1].defier_count == 0
+    ]
 
 
 @dataclass(frozen=True)

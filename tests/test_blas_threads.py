@@ -64,3 +64,12 @@ def test_reimport_removes_its_own_setting_and_keeps_a_users(monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
     importlib.reload(defiers)
     assert "OPENBLAS_NUM_THREADS" not in os.environ and os.environ["OMP_NUM_THREADS"] == "2"
+
+
+def test_a_failed_numpy_import_still_removes_the_setting(monkeypatch):
+    for name in BLAS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setitem(sys.modules, "numpy", None)  # makes ``import numpy`` raise
+    with pytest.raises(ImportError):
+        importlib.reload(defiers)
+    assert "OPENBLAS_NUM_THREADS" not in os.environ

@@ -369,6 +369,15 @@ def test_batches_keep_the_cell_budget_and_hold_each_realization_once(n):
             assert {batch_of[y] for y in orbit} == {batch_of[x]}
 
 
+def test_batch_refuses_a_grouping_that_misses_or_repeats_a_position():
+    xs = evaluation._data_space(4, CompletelyRandomized(2, 4))[:3]
+    orbits = list(evaluation._orbits(xs))
+    assert len(evaluation.Batch(xs, orbits).box_of) == 3
+    for wrong in (orbits[1:], orbits + orbits[:1]):
+        with pytest.raises(ValueError, match="exactly once"):
+            evaluation.Batch(xs, wrong)
+
+
 def test_the_bayes_pass_fills_and_scans_one_box_per_orbit(monkeypatch):
     design, made, scanned = CompletelyRandomized(25, 50), [], []
     monkeypatch.setattr(
