@@ -237,10 +237,7 @@ def rule_eu_vectors(
     Contributions are added in the fixed data-space order.
     """
     _check_bayes_budget(n, design)
-    size = theta_index(n).size
-    # (at, co, de, nt) of every flat index, decoded once for all realizations
-    decoded = np.stack(theta_index(n).components(np.arange(size)))
-    xs = _data_space(n, design)
+    index, xs = theta_index(n), _data_space(n, design)
 
     def column(item: tuple[list[int], list]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         positions, orbits = item
@@ -250,9 +247,10 @@ def rule_eu_vectors(
         parts = []
         for rule in rules:
             owner, flat, weight = rule(batch, design)
-            box = batch.box_of[owner]
+            box = batch.box_of[owner]  # each guess read through its realization's relabeling
             (at, co, de, _), (shape_at, shape_co, shape_de) = (
-                decoded[batch.perm[owner].T, flat], batch.shapes[:, box])
+                np.stack(index.components(flat))[batch.perm[owner].T, np.arange(flat.size)],
+                batch.shapes[:, box])
             # a guess outside its box (a Fréchet member can be) reads the buffer's last cell, 0
             inside = (at < shape_at) & (co < shape_co) & (de < shape_de)
             cells = batch.offsets[box] + (at * shape_co + co) * shape_de + de
@@ -261,7 +259,7 @@ def rule_eu_vectors(
         return parts
 
     results = _thread_map(column, _batches(xs), None)
-    vectors = [np.zeros(size) for _ in rules]
+    vectors = [np.zeros(index.size) for _ in rules]
     for j, vec in enumerate(vectors):
         where, flat, contrib = map(np.concatenate, zip(*(parts[j] for parts in results)))
         # ufunc.at adds in index order, so each cell sums in data-space order
@@ -300,17 +298,27 @@ class RuleComparisonRow:
         return self.eu_mle / self.eu_mono
 
 
-def rule_comparison_curve(n_values: Sequence[int]) -> list[RuleComparisonRow]:
-    """Bayes expected utilities of the three rules at each even n, half treated."""
-    rows = []
+def rule_comparison_curve(
+    n_values: Sequence[int], *, progress: Callable[[str], None] | None = None
+) -> list[RuleComparisonRow]:
+    """Bayes expected utilities of the three rules at each even n, half treated.
+
+    Every n is checked, its parity and then the Bayes guard, before any is
+    evaluated; each evaluated n is then reported to ``progress``.
+    """
+    designs = []
     for n in n_values:
         if n % 2 != 0 or n <= 0:
             raise ValueError(f"rule comparison needs positive even n, got {n}")
-        design = CompletelyRandomized(m=n // 2, n=n)
-        eu = bayes_expected_utilities(
-            [MAX_LIKELIHOOD_RULE, FRECHET_RULE, MONOTONICITY_RULE], n, design
-        )
-        rows.append(RuleComparisonRow(n, eu[0], eu[1], eu[2]))
+        designs.append(CompletelyRandomized(m=n // 2, n=n))
+        _check_bayes_budget(n, designs[-1])
+    rows = []
+    for design in designs:
+        eu = bayes_expected_utilities([MAX_LIKELIHOOD_RULE, FRECHET_RULE, MONOTONICITY_RULE],
+                                      design.n, design)
+        rows.append(RuleComparisonRow(design.n, *eu))
+        if progress is not None:
+            progress(f"evaluated rules at n={design.n}")
     return rows
 
 
@@ -465,26 +473,13 @@ def monty_hall_likelihoods() -> MontyHallResult:
     """Likelihoods of the two configurations after the host opens the left door.
 
     The host must open an unchosen door with no car; a fair randomizer picks
-    his preferred door, giving two equally likely reveal policies.  Each
-    configuration's likelihood is the share of policies that produce the
-    observed reveal (left door, no car).
+    the host's preferred door, giving two equally likely reveal policies.  Each
+    configuration's likelihood is the share of policies that open the left door:
+    a host who prefers it always does, and one who prefers the right door does
+    only when the car is behind the right door.
     """
-    policies = ("prefer_left", "prefer_right")
-    configurations = {
-        "car_absent": (False, False),  # (car in left, car in right)
-        "car_present": (False, True),
-    }
+    def likelihood(car_right: bool) -> Fraction:
+        opens_left = (True, car_right)  # under the policies preferring left and right
+        return Fraction(sum(opens_left), len(opens_left))
 
-    def opened(policy: str, config: tuple[bool, bool]) -> str:
-        car_left, car_right = config
-        if policy == "prefer_left":
-            return "left" if not car_left else "right"
-        return "right" if not car_right else "left"
-
-    likelihood = {
-        name: Fraction(sum(opened(p, config) == "left" for p in policies), len(policies))
-        for name, config in configurations.items()
-    }
-    return MontyHallResult(
-        car_absent=likelihood["car_absent"], car_present=likelihood["car_present"]
-    )
+    return MontyHallResult(car_absent=likelihood(False), car_present=likelihood(True))

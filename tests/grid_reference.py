@@ -5,7 +5,11 @@ scatter-adds every arm composition's product into its vector's canonical
 flat index with ``np.add.at``, in ascending order of always takers in
 intervention, as the package filled the grid before it moved to the support
 box.  ``canonical`` lays a support box out in that canonical order.
+``at_plane_sums`` checks a box at any n: its exact at-plane sums, by integer
+matrix chains.
 """
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -31,6 +35,31 @@ def reference_grid(x):
         idx = index.flatten(at, co, de)
         np.add.at(grid, np.broadcast_to(idx, term.shape).ravel(), term.ravel())
     return grid
+
+
+def at_plane_sums(x):
+    """Exact sum of the assignment counts in each at-plane of the support box, as
+    Python ints: the large-n oracle, by matrix chains rather than by compositions.
+
+    A composition's product is F1[a_i, a_c] F2[a_i, c_c] F3[a_c, d_i] F4[d_i, c_c],
+    with F1 = C(a_i + a_c, a_i), F2 = C(i1 - a_i + c_c, i1 - a_i), F3 = C(c1 - a_c + d_i,
+    d_i) and F4 = C(i0 - d_i + c0 - c_c, i0 - d_i).  Summing out d_i and c_c leaves
+    F1[a_i, a_c] P[a_c, a_i] with P = F3 F4 F2^T, and at = a_i + a_c, so plane at is
+    the anti-diagonal at of F1 * P^T.
+    """
+    i1, i0, c1, c0 = x.counts()
+
+    def binomials(rows, cols, top_bottom):
+        return np.array(
+            [[math.comb(*top_bottom(r, c)) for c in range(cols)] for r in range(rows)], dtype=object
+        )
+
+    f1 = binomials(i1 + 1, c1 + 1, lambda a_i, a_c: (a_i + a_c, a_i))
+    f2 = binomials(i1 + 1, c0 + 1, lambda a_i, c_c: (i1 - a_i + c_c, i1 - a_i))
+    f3 = binomials(c1 + 1, i0 + 1, lambda a_c, d_i: (c1 - a_c + d_i, d_i))
+    f4 = binomials(i0 + 1, c0 + 1, lambda d_i, c_c: (i0 - d_i + c0 - c_c, i0 - d_i))
+    terms = (f1 * f3.dot(f4).dot(f2.T).T)[:, ::-1]  # column c1 - a_c
+    return [int(terms.diagonal(c1 - at).sum()) for at in range(i1 + c1 + 1)]
 
 
 def canonical(box, n):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from defiers import cli
 from defiers.cli import main
 from defiers.evaluation import BAYES_MAX_N_CR
 
@@ -160,6 +161,21 @@ def test_frechet_profile_bernoulli_flags(tmp_path, capsys):
     assert lines[1:] == ["0,-inf,0,true"]
 
 
+def test_frechet_profile_flags_a_block_ending_on_the_decimal_level(tmp_path, capsys):
+    # The 14 members other than 7 defiers hold exactly 19/20 of the within-set mass.
+    # Their float sum stays within the decimal 0.95, so all of them are flagged; a
+    # test against the binary value of 0.95 would leave one block out (ROADMAP item 11).
+    code, _, _ = run(
+        capsys,
+        "frechet-profile",
+        "--i1", "1", "--i0", "1", "--c1", "13", "--c0", "15", "--m", "2",
+        "--quiet", "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    rows = (tmp_path / "frechet_profile.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["true"] * 7 + ["false"] + ["true"] * 7
+
+
 def test_heatmap_cmd(tmp_path, capsys):
     code, _, _ = run(
         capsys, "heatmap", "--n", "6", "--m", "3", "--quiet", "--out-dir", str(tmp_path)
@@ -217,6 +233,18 @@ def test_compare_rules_cmd(tmp_path, capsys):
     lines = (tmp_path / "rule_comparison.csv").read_text().splitlines()
     assert lines[0] == "n,eu_mle,eu_frechet,eu_mono,ratio_frechet,ratio_mono"
     assert [int(line.split(",")[0]) for line in lines[1:]] == [2, 4, 6]
+
+
+def test_compare_rules_is_one_curve_call_that_reports_each_n(tmp_path, capsys, monkeypatch):
+    calls, curve = [], cli.rule_comparison_curve
+    monkeypatch.setattr(
+        cli, "rule_comparison_curve", lambda *a, **k: calls.append(a) or curve(*a, **k)
+    )
+    code, _, err = run(capsys, "compare-rules", "--max-n", "6", "--out-dir", str(tmp_path))
+    assert code == 0 and len(calls) == 1
+    assert err.splitlines() == [f"evaluated rules at n={n}" for n in (2, 4, 6)] + [
+        f"wrote {tmp_path / name}" for name in ("rule_comparison.csv", "rule_comparison.svg")
+    ]
 
 
 def test_compare_rules_budget(tmp_path, capsys):

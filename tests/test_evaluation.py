@@ -167,6 +167,24 @@ def test_rule_comparison_curve_small():
         rule_comparison_curve([3])
 
 
+def test_rule_curve_checks_every_n_before_it_fills_a_box(monkeypatch):
+    fills = []
+    monkeypatch.setattr(evaluation, "assignment_count_grid", lambda *args: fills.append(args))
+    with pytest.raises(BudgetExceededError, match="n=62 exceeds the guard of 60"):
+        rule_comparison_curve([2, 4, 62])
+    # a negative n is refused by the curve, not by the design it would build
+    with pytest.raises(ValueError, match="rule comparison needs positive even n, got -2"):
+        rule_comparison_curve([2, -2])
+    assert fills == []
+
+
+def test_rule_curve_reports_each_n_once_evaluated():
+    heard = []
+    rows = rule_comparison_curve([2, 4], progress=heard.append)
+    assert heard == ["evaluated rules at n=2", "evaluated rules at n=4"]
+    assert rows == rule_comparison_curve([2, 4])
+
+
 def test_the_mle_gains_with_n_over_the_whole_curve():
     # the gain grows with the sample size wherever exhaustive search is possible
     rows = rule_comparison_curve(range(2, 51, 2))

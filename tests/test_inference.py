@@ -514,6 +514,37 @@ def test_a_set_whose_exact_mass_is_the_level_stops_there(counts, m, members):
     assert "boundary_verified_exact" not in report_to_json(report)
 
 
+def member_counts_and_total(x, level):
+    """Exact assignment counts of the credible members, likeliest first, and of all."""
+    post = posterior(x, level)
+    members = smallest_credible_set(post).member_count
+    coords = zip(*(axis[:members].tolist() for axis in (post.at, post.co, post.de)))
+    counts = [exact_assignment_count(Theta(a, c, d, x.n - a - c - d), x) for a, c, d in coords]
+    box = assignment_count_grid(x)
+    assert box.max() < inference.EXACT_FLOAT_LIMIT  # so its values are the exact counts
+    return counts, sum(int(v) for v in box.ravel().tolist())
+
+
+@pytest.mark.parametrize("counts,m,members", [((0, 2, 3, 3), 2, 37), ((14, 1, 2, 0), 15, 49)])
+def test_members_exact_counts_hold_exactly_the_decimal_level(counts, m, members):
+    x = ExperimentData(*counts)
+    counts, total = member_counts_and_total(x, 0.95)
+    assert sum(counts) * 20 == 19 * total
+    report = analyze(AnalysisRequest(design=CompletelyRandomized(m, x.n), data=x))
+    assert len(counts) == report.credible.member_count == members
+
+
+@settings(max_examples=40, deadline=None)
+@given(counts=tables(max_n=40), level=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_members_exact_counts_reach_the_level_and_no_fewer_blocks_do(counts, level):
+    x = ExperimentData(*counts)
+    members, total = member_counts_and_total(x, level)
+    goal = Fraction(repr(level))
+    assert sum(members) * goal.denominator >= goal.numerator * total
+    without_last_block = sum(c for c in members if c > members[-1])
+    assert without_last_block * goal.denominator < goal.numerator * total
+
+
 def test_posterior_grows_its_block_to_the_exact_crossing():
     # 0.5555555555555556 reads as a decimal just above 5/9, the exact mass of
     # the first block of two; the float sum of that block reaches the level,

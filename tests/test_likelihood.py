@@ -37,7 +37,7 @@ from defiers.likelihood import (
     sampling_log_likelihood,
 )
 
-from grid_reference import canonical, reference_grid, tables
+from grid_reference import at_plane_sums, canonical, reference_grid, tables
 
 SIX = ExperimentData(2, 1, 1, 2)
 CR6 = CompletelyRandomized(3, 6)
@@ -235,6 +235,50 @@ def test_box_is_bit_equal_to_the_reference(counts):
         with pytest.MonkeyPatch.context() as mp:
             fill_in_bands(mp, bands)
             assert_box_is_the_reference(x, reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=tables(max_n=14))
+def test_at_plane_sums_are_the_exact_counts_by_plane(counts):
+    x = ExperimentData(*counts)
+    by_plane = [0] * (x.i1 + x.c1 + 1)
+    for theta in enumerate_thetas(x.n):
+        if theta.at < len(by_plane):
+            by_plane[theta.at] += exact_assignment_count(theta, x)
+    assert at_plane_sums(x) == by_plane
+
+
+def assert_at_planes_are_exact_within_the_fill_bound(x, exact):
+    """Each at-plane sum of the box is within its rounding bound of the exact sum.
+
+    A cell is within gamma_{n+7} of its count, relatively (see ``GRID_TIE_BOUND``);
+    numpy sums a plane's k cells pairwise, passing each through at most 25 additions
+    in its leaves of up to 128 values, one per halving above them and one onto the
+    reduction's start.  All terms are positive, so a plane sum is within
+    gamma_{n+7+26+ceil(log2 k)} of its exact sum (Higham, 2002, 3.1 and 4.2).
+    """
+    box = assignment_count_grid(x)
+    planes, k = box.sum(axis=(1, 2)), box[0].size
+    u, steps = Fraction(1, 2**53), x.n + 7 + 26 + math.ceil(math.log2(k))
+    gamma = steps * u / (1 - steps * u)
+    assert len(planes) == len(exact)
+    for got, want in zip(planes.tolist(), exact):
+        assert abs(Fraction(got) - want) <= gamma * want
+
+
+@pytest.mark.parametrize("counts", [(50, 11, 23, 31), (200, 5, 180, 3)])
+def test_box_at_planes_match_the_exact_chain(counts):
+    x = ExperimentData(*counts)
+    assert_at_planes_are_exact_within_the_fill_bound(x, at_plane_sums(x))
+
+
+def test_smoking_box_at_planes_match_the_exact_chain_at_every_band_count():
+    x = ExperimentData(69, 237, 26, 280)
+    exact = at_plane_sums(x)
+    for bands in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            fill_in_bands(mp, bands)
+            assert_at_planes_are_exact_within_the_fill_bound(x, exact)
 
 
 def fill_in_bands(mp, bands):

@@ -10,7 +10,8 @@ gives it.  Usage, from anywhere:
 
 With no arguments the tier-1 ``tests`` directory runs quietly.  Worker
 threads are traced; subprocesses that tests start are not.  Tracing makes
-Python-level code several times slower.  Exits with pytest's status.
+Python-level code several times slower.  A check: exits with pytest's status
+when the tests fail, else 1 when any module has an untraced line, else 0.
 """
 from __future__ import annotations
 
@@ -62,14 +63,15 @@ def main(argv: list[str]) -> int:
         )
     finally:
         threading.settrace(None)
-    for path, lines in untraced(tracer.results().counts).items():
+    missed = untraced(tracer.results().counts)
+    for path, lines in missed.items():
         source = path.read_text().splitlines()
         print(f"{path.relative_to(ROOT)}: {len(lines)} untraced")
         for line in lines:
             print(f"  {line}: {source[line - 1].strip()}")
     total = sum(path.read_bytes().count(b"\n") for path in PACKAGE.glob("*.py"))
     print(f"{PACKAGE.relative_to(ROOT)}: {total} lines in all (wc -l)")
-    return int(status)
+    return int(status) or int(any(missed.values()))
 
 
 if __name__ == "__main__":
