@@ -15,6 +15,7 @@ maximizer scan wherever its box is exact, in a buffer of at most
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -322,16 +323,16 @@ def rule_comparison_curve(
     return rows
 
 
+@functools.lru_cache
+def _hypergeometric_weights(n: int, m: int, takers: int) -> tuple[int, ...]:
+    """C(m, k) C(n - m, takers - k) for k = 0 .. min(m, takers), zero where infeasible."""
+    return tuple(math.comb(m, k) * math.comb(n - m, takers - k) for k in range(min(m, takers) + 1))
+
+
 def _fisher_weights(x: ExperimentData) -> tuple[int, int]:
     """Exact hypergeometric weights of the tables no likelier than x, and of all."""
-    n = x.n
-    m = x.intervention_size
-    takers = x.i1 + x.c1
-    lo = max(0, takers - (n - m))
-    hi = min(m, takers)
-    weights = [math.comb(m, k) * math.comb(n - m, takers - k) for k in range(lo, hi + 1)]
-    observed = weights[x.i1 - lo]
-    return sum(w for w in weights if w <= observed), sum(weights)  # C(n, takers)
+    weights = _hypergeometric_weights(x.n, x.intervention_size, x.i1 + x.c1)
+    return sum(w for w in weights if w <= weights[x.i1]), sum(weights)  # C(n, takers)
 
 
 def fisher_exact_p(x: ExperimentData) -> float:

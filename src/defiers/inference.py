@@ -38,6 +38,7 @@ from .core import (
     check_design,
     theta_index,
 )
+from .combinatorics import choose_table
 from .likelihood import (
     GRID_TIE_BOUND,
     assignment_count_grid,
@@ -49,11 +50,11 @@ from .likelihood import (
 # sample size and the positive entries above it.  The two pairwise-sum orders
 # can differ in the last bit; keeping both keeps reported masses bit-identical.
 # Either order is read in _CHUNK runs, so the posterior's scratch beside the box
-# is a few runs plus its top block: 7.9 MB at n=612, 5.4 MB at n=300 (tracemalloc).
+# is a few runs and its table: 2.4 MB at n=612, 1.7 MB at n=300 (tracemalloc).
 FULL_TABLE_MAX_N = 300
 
-# Values the posterior reads at once, from the box or the normaliser's order.
-_CHUNK = 1 << 19  # 4 MB of float64
+# Values read at once from the box or the normaliser's order (posterior, MLE scan).
+_CHUNK = 1 << 16  # 512 KB of float64
 
 # Where box values are not exact (see the next constant), at most this many
 # cells are recounted in integers; more stay unconfirmed, grouped by bit-equal
@@ -71,6 +72,7 @@ EXACT_FLOAT_LIMIT = 2.0**53
 def _cached_grid(x: ExperimentData) -> np.ndarray:
     grid = assignment_count_grid(x)
     grid.setflags(write=False)
+    choose_table.cache_clear()  # an analysis reads only the box; the table is 3 MB at n=612
     return grid
 
 
@@ -103,6 +105,14 @@ def _exact_counts(values: np.ndarray, cells: tuple, x: ExperimentData) -> np.nda
     return np.array(counts, dtype=object)
 
 
+def _at_least(flat: np.ndarray, cut: float) -> np.ndarray:
+    """Positions of the values of ``flat`` at or above ``cut``, read in ``_CHUNK`` slices."""
+    if flat.size <= _CHUNK:  # every box of n <= 60: one scan, no concatenate
+        return (flat >= cut).nonzero()[0]
+    starts = range(0, flat.size, _CHUNK)
+    return np.concatenate([np.flatnonzero(flat[s : s + _CHUNK] >= cut) + s for s in starts])
+
+
 def _argmax_ties(
     boxes: Sequence[np.ndarray], xs: Sequence[ExperimentData], monotone: bool | None = None
 ) -> tuple[np.ndarray, bool, np.ndarray]:
@@ -130,7 +140,7 @@ def _argmax_ties(
             hits.append(np.concatenate((plane * de_n, at * co_n * de_n + de + 1)))
         else:
             tops.append(raveled.max())
-            hits.append((raveled >= tops[-1] * (1.0 - GRID_TIE_BOUND)).nonzero()[0])
+            hits.append(_at_least(raveled, tops[-1] * (1.0 - GRID_TIE_BOUND)))
         values.append(raveled[hits[-1]])
     if min(tops) <= 0.0:
         raise AssertionError("likelihood is zero everywhere; data inconsistent")
@@ -279,8 +289,9 @@ def _crossing(
 def posterior(x: ExperimentData, level: float) -> PosteriorTable:
     """Posterior masses proportional to the likelihood, down to the level's boundary.
 
-    The top values are kept across chunks of the box by partition, growing the
-    block fourfold until its mass reaches the level; only the block is sorted.
+    Partition keeps the 4k largest values, k the fewest that can reach the level;
+    the top k are sorted first, the rest only if those fall short, and the kept
+    block grows fourfold until its mass reaches the level.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0,1), got {level}")
@@ -293,32 +304,40 @@ def posterior(x: ExperimentData, level: float) -> PosteriorTable:
     if peak < EXACT_FLOAT_LIMIT:  # every value is its exact count
         halves = (_int_halves(flat[s : s + _CHUNK]) for s in starts)
         exact_total = sum((int(high.sum()) << 26) + int(low.sum()) for high, low in halves)
-    size = 4 * math.ceil(level / (peak / total))  # one x4 step above the fewest that reach level
-    while True:
-        kept, floor = np.empty(0), 0.0
-        for part in (flat[s : s + _CHUNK] for s in starts):  # the size largest positive
-            kept = np.concatenate((kept, part[part > floor]))  # floor: the kept minimum
-            if kept.size > size:
-                kept.partition(kept.size - size)
-                kept = kept[kept.size - size :]
-                floor = kept[0]
-        top = np.sort(kept)[::-1]
-        crossing = _crossing(top, top / total, level, exact_total)
-        if crossing < top.size or kept.size < size:  # fewer kept: every positive value
+    size = math.ceil(level / (peak / total))  # no fewer entries reach the level
+    while True:  # kept[kept.size - held:] holds the size largest positive values, or more
+        size, held, floor, kept = 4 * size, 0, 0.0, np.empty(4 * size + _CHUNK)  # 4x the first block
+        for part in (flat[s : s + _CHUNK] for s in starts):
+            picked = part[part > floor]
+            if held + picked.size > kept.size:  # keep only the size largest; floor: their minimum
+                kept[kept.size - held :].partition(held - size)
+                held, floor = size, kept[kept.size - size]
+            kept[kept.size - held - picked.size : kept.size - held] = picked
+            held += picked.size
+        kept = kept[kept.size - held :]
+        kept.partition([max(held - size, 0), max(held - size // 4, 0)])
+        for block in (size // 4, size):  # the whole kept block only if its top quarter falls short
+            kept[-block:].sort()
+            top = kept[-block:][::-1]
+            crossing = _crossing(top, top / total, level, exact_total)
+            if crossing < top.size:
+                break
+        if crossing < top.size or held < size:  # fewer held: every positive value
             break
-        size *= 4
     v = top[min(crossing, top.size - 1)] / total
+    del kept, top
     # Every entry of mass v or more, kept or not (a value just below the block
     # may round to mass v), has a value of at least v * total / (1 + u),
     # u = 2**-53; the cut, 8u below v * total, stays below that after its own
-    # two roundings.
-    cut = v * total * (1.0 - 2.0**-50)
-    near = np.concatenate([np.flatnonzero(flat[s : s + _CHUNK] >= cut) + s for s in starts])
-    coords = np.unravel_index(near[flat[near] / total >= v], box.shape)
-    block = box[coords]
-    order = np.lexsort((index.flatten(*coords), -block))
-    at, co, de = (axis[order].astype(np.uint32) for axis in coords)
-    return PosteriorTable(x, level, at, co, de, block[order] / total, block[order], exact_total)
+    # two roundings.  Canonical order is box C order reversed, so ties keep it
+    # through a stable ascending sort, reversed.
+    near = _at_least(flat, v * total * (1.0 - 2.0**-50))
+    near = near[flat[near] / total >= v]
+    near = near[np.argsort(flat[near], kind="stable")[::-1]].astype(np.uint32)  # < 2**32 cells
+    value = flat[near]
+    at, near = np.divmod(near, box.shape[1] * box.shape[2])
+    co, de = np.divmod(near, box.shape[2])
+    return PosteriorTable(x, level, at, co, de, value / total, value, exact_total)
 
 
 @dataclass(frozen=True)
@@ -379,25 +398,25 @@ def smallest_credible_set(post: PosteriorTable) -> CredibleSummary:
     share one mass, the whole tie block enters together.
     """
     level, mass = post.level, post.mass
-    cum = np.cumsum(mass)
     crossing = min(_crossing(post.value, mass, level, post.exact_total), mass.size - 1)
     run = np.flatnonzero(mass == mass[crossing])  # the bit-equal float run holding it
     run_start = int(run[0])
-    pre_mass = float(cum[run_start - 1]) if run_start > 0 else 0.0
+    pre_mass = float(np.cumsum(mass[:run_start])[-1]) if run_start > 0 else 0.0
     if post.exact_total is None:
         boundary, verified = _boundary_members(post, run, level, pre_mass)
     else:  # the values are the counts: the set ends with the crossing's count
         boundary, verified = run[post.value[run] >= post.value[crossing]], True
-    idx = np.concatenate((np.arange(run_start), boundary))
-    at, co, de = (axis[idx].astype(np.int64) for axis in (post.at, post.co, post.de))
-    nt = post.x.n - at - co - de
+    def extent(axis: np.ndarray) -> tuple[int, int]:  # over the entries before the run, its boundary
+        members = np.concatenate((axis[:run_start], axis[boundary]))
+        return int(members.min()), int(members.max())
+    low, high = extent(post.at + post.co + post.de)  # n - nt
     return CredibleSummary(
         level=level,
-        member_count=int(idx.size),
+        member_count=run_start + boundary.size,
         achieved_mass=pre_mass + float(mass[crossing]) * boundary.size,
-        at_range=(int(at.min()), int(at.max())),
-        co_range=(int(co.min()), int(co.max())),
-        de_range=(int(de.min()), int(de.max())),
-        nt_range=(int(nt.min()), int(nt.max())),
+        at_range=extent(post.at),
+        co_range=extent(post.co),
+        de_range=extent(post.de),
+        nt_range=(post.x.n - high, post.x.n - low),
         boundary_verified_exact=verified,
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -48,9 +49,9 @@ ORACLE_MAX_N = 20
 # 251M (2.01 GB) at the cap below (canonical: 1.34 GB).  The cap also keeps sums
 # in float64 range: each entry is at most C(n, n//2), so the grid sum is at most
 # C(n+3, 3) * C(n, n//2), 10^307.66 at n=1000; the bound first exceeds the
-# float64 maximum (10^308.25) at n=1002.  Fill scratch beside the box is small:
-# one 256 KB ``term`` block per band, and ``head``, (i1+1)(c0+1)(c1+1) cells
-# (4.2 MB at n=612); the posterior's is 4 MB chunks and its top block (7.9 MB).
+# float64 maximum (10^308.25) at n=1002.  Scratch beside the box is small: per
+# fill band a 256 KB ``term`` block and ``head`` for one block of rows (76 KB at
+# n=612); later passes read 512 KB slices, and the posterior holds 2.6 MB at most.
 GRID_MAX_N = 1000
 
 # Relative gap within which two box cells may hold equal exact counts, for any
@@ -304,46 +305,51 @@ def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> n
     slabs = view(box, i1 * s_co + c1 * s_de, (i1 + 1, c0 + 1, c1 + 1, i0 + 1),
                  (s_at - s_co, s_co, s_at - s_de, s_de))
     # Each factor runs along diagonals of the table (one step down and right is
-    # `dr`), so it is a strided view; the two every block reads are copied.
+    # `dr`), so it is a strided view; de_part is copied, head and nt per c_c block.
     # term = ((C(at, a_i) C(co, i1-a_i)) C(de, d_i)) C(nt, i0-d_i); order fixes bits
     down, dr = table.strides[0], sum(table.strides)
-    # C(a_i + a_c, a_i) * C(i1 - a_i + c_c, i1 - a_i), by (a_i, c_c, a_c)
-    head = view(table, 0, (i1 + 1, 1, c1 + 1), (dr, 0, down)) * view(
-        table, i1 * dr, (i1 + 1, c0 + 1, 1), (-dr, down, 0))
+    # C(a_i + a_c, a_i) by (a_i, 1, a_c); C(i1 - a_i + c_c, i1 - a_i) by (a_i, c_c, 1)
+    at_part = view(table, 0, (i1 + 1, 1, c1 + 1), (dr, 0, down))
+    co_part = view(table, i1 * dr, (i1 + 1, c0 + 1, 1), (-dr, down, 0))
     # C(c1 - a_c + d_i, d_i) by (a_c, d_i); C(i0 - d_i + c0 - c_c, i0 - d_i) by (c_c, 1, d_i)
     de_part = view(table, c1 * down, (c1 + 1, i0 + 1), (-down, dr)).copy()
-    nt_part = view(table, i0 * dr + c0 * down, (c0 + 1, 1, i0 + 1), (-down, 0, -dr)).copy()
+    nt_part = view(table, i0 * dr + c0 * down, (c0 + 1, 1, i0 + 1), (-down, 0, -dr))
     rows = min(c0 + 1, max(1, _BLOCK_CELLS // ((c1 + 1) * (i0 + 1))))
     run = min(i1 + 1, max(1, _BLOCK_CELLS // (rows * (c1 + 1) * (i0 + 1))))  # a_i per block
 
     def band(lo: int, hi: int) -> None:  # adds every product onto the columns lo <= co < hi
-        term = np.empty((run, rows, c1 + 1, i0 + 1))
         def add(k0: int, k1: int, r0: int, r1: int) -> None:  # a_i in [k0, k1), c_c in [r0, r1)
             part = term[: k1 - k0, : r1 - r0]
-            np.multiply(head[k0:k1, r0:r1, :, None], de_part, out=part)
-            part *= nt_part[r0:r1]
+            np.multiply(head[k0:k1, r0 - b0 : r1 - b0, :, None], de_part, out=part)
+            part *= nt[r0 - b0 : r1 - b0]
             for slab, products in zip(slabs[k0:k1, r0:r1], part):
                 slab += products
         # c_c = co - i1 + a_i grows with a_i, so blocks of c_c rows taken in
         # order, each run over ascending a_i, still sum each cell in ascending a_i.
-        for r0, k0 in product(range(0, c0 + 1, rows), range(0, i1 + 1, run)):
-            r1, k1 = min(r0 + rows, c0 + 1), min(k0 + run, i1 + 1)
-            if lo <= i1 - k1 + 1 + r0 and i1 - k0 + r1 <= hi:  # the block lies in the band
-                add(k0, k1, r0, r1)
-            else:  # across an edge, each a_i over its c_c rows in the band; none if outside
-                for a_i in range(max(k0, r0 + i1 - hi + 1), min(k1, r1 + i1 - lo)):
-                    add(a_i, a_i + 1, max(r0, lo - i1 + a_i), min(r1, hi - i1 + a_i))
+        try:
+            term = np.empty((run, rows, c1 + 1, i0 + 1))
+            for b0, k0 in product(range(0, c0 + 1, rows), range(0, i1 + 1, run)):
+                b1, k1 = min(b0 + rows, c0 + 1), min(k0 + run, i1 + 1)
+                if k0 == 0:  # a new block of c_c rows: the head and nt_part rows it reads
+                    head, nt = at_part * co_part[:, b0:b1], nt_part[b0:b1].copy()
+                if lo <= i1 - k1 + 1 + b0 and i1 - k0 + b1 <= hi:  # the block lies in the band
+                    add(k0, k1, b0, b1)
+                else:  # across an edge, each a_i over its c_c rows in the band; none if outside
+                    for a_i in range(max(k0, b0 + i1 - hi + 1), min(k1, b1 + i1 - lo)):
+                        add(a_i, a_i + 1, max(b0, lo - i1 + a_i), min(b1, hi - i1 + a_i))
+        except BaseException as failure:  # for the calling thread to raise
+            failures[lo] = failure
 
     work = (i1 + 1) * (i0 + 1) * (c1 + 1) * (c0 + 1)  # arm compositions
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     bands = min(cpus, work // _BAND_WORK)  # _band_edges would add 9% to an n=50 fill
-    edges = _band_edges(i1, c0, bands) if bands > 1 else [0, i1 + c0 + 1]
-    if len(edges) == 2:
-        band(*edges)
-        return box
-    from concurrent.futures import ThreadPoolExecutor  # not at the top: it loads logging, 0.8 MB
-    with ThreadPoolExecutor(len(edges) - 2) as pool:  # this thread fills the first band
-        rest = pool.map(band, edges[1:-1], edges[2:])
-        band(*edges[:2])
-        list(rest)  # re-raises a band's failure
+    edges, failures = _band_edges(i1, c0, bands) if bands > 1 else [0, i1 + c0 + 1], {}
+    threads = [threading.Thread(target=band, args=edge) for edge in zip(edges[1:-1], edges[2:])]
+    for thread in threads:
+        thread.start()
+    band(*edges[:2])  # this thread fills the first band
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[min(failures)]
     return box

@@ -31,6 +31,7 @@ from .frechet import (
 from .inference import (
     CredibleSummary,
     MleResult,
+    _cached_grid,
     mle,
     monotonicity_mle,
     posterior,
@@ -93,10 +94,13 @@ def analyze(
     marginals = estimate_marginals(x, design)
     fs = frechet_set(marginals)
     note(f"grid search over {x.n}-subject parameter space")
-    mle_result = mle(x, design)
-    mono = monotonicity_mle(x, design)
-    note("posterior and smallest credible set")
-    credible = smallest_credible_set(posterior(x, request.credible_level))
+    try:  # the three share one box, released once they return or raise
+        mle_result = mle(x, design)
+        mono = monotonicity_mle(x, design)
+        note("posterior and smallest credible set")
+        credible = smallest_credible_set(posterior(x, request.credible_level))
+    finally:
+        _cached_grid.cache_clear()
     note("profile across the estimated Fréchet set")
     rows = frechet_profile(fs, x, design)
     flags = profile_level_flags(rows, request.credible_level)

@@ -248,6 +248,16 @@ def test_heatmap_fisher_flag_is_the_exact_rule(monkeypatch, rounded_p):
                 assert cell.fisher_reject_5 == (fisher_fraction(x) <= Fraction(1, 20))
 
 
+def test_heatmap_computes_each_list_of_fisher_weights_once():
+    # the weights depend only on (n, m, takers): 11 lists for the 36 cells at n = 10,
+    # read twice a cell, by the flag and by the p-value
+    evaluation._hypergeometric_weights.cache_clear()
+    cells = [cell for row in heatmap(10, 5) for cell in row]
+    info = evaluation._hypergeometric_weights.cache_info()
+    assert info.misses == len({cell.i1 + cell.c1 for cell in cells}) == 11
+    assert info.hits == 2 * len(cells) - 11
+
+
 def test_fisher_transpose_symmetry():
     rng = np.random.default_rng(10)
     for _ in range(40):

@@ -2,13 +2,15 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from defiers import inference
+from defiers import inference, likelihood, reports
+from defiers.combinatorics import choose_table
 from defiers.core import (
     CompletelyRandomized,
     ExperimentData,
@@ -18,6 +20,7 @@ from defiers.core import (
 )
 from defiers.likelihood import (
     assignment_count_grid,
+    box_shape,
     exact_assignment_count,
     oracle_assignment_count,
 )
@@ -206,10 +209,22 @@ def test_organ_donation_inference():
     assert summary.de_range == (0, 34)
 
 
-def test_analyze_keeps_only_the_last_tables_box():
-    for x in (ExperimentData(50, 11, 23, 31), ExperimentData(4, 3, 2, 5)):
-        analyze(AnalysisRequest(design=CompletelyRandomized(x.i1 + x.i0, x.n), data=x))
-        assert inference._cached_grid.cache_info().currsize == 1
+def test_analyze_releases_its_box_when_it_returns_and_when_it_raises(monkeypatch):
+    # a box left cached holds 71 MB on the smoking table, 2.01 GB at the guard
+    x = ExperimentData(50, 11, 23, 31)
+    request = AnalysisRequest(design=CompletelyRandomized(61, 115), data=x)
+    box = weakref.ref(inference._cached_grid(x))  # the box analyze reads
+    analyze(request)
+    assert box() is None
+
+    def no_room(x, level):
+        raise MemoryError("no room for the posterior")
+
+    box = weakref.ref(inference._cached_grid(x))
+    monkeypatch.setattr(reports, "posterior", no_room)
+    with pytest.raises(MemoryError, match="no room"):
+        analyze(request)
+    assert box() is None
 
 
 def test_posterior_degenerate_single_theta():
@@ -441,7 +456,7 @@ def test_tree_sum_is_numpys_pairwise_sum(monkeypatch, size, chunk):
 def test_posterior_scratch_stays_small_beside_the_box(counts):
     # The smoking table (n=612) sums positive cells; (100,50,20,130) at n=300
     # sums every canonical position.  Copying every value made 69.5 MB and
-    # 65.6 MB of scratch on them.
+    # 65.6 MB of scratch on them; reading the box in 512 KB slices, 2.4 and 1.7 MB.
     x = ExperimentData(*counts)
     inference._cached_grid(x)
     tracemalloc.start()
@@ -450,27 +465,51 @@ def test_posterior_scratch_stays_small_beside_the_box(counts):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16_000_000
+    assert peak <= 3_000_000
 
 
-def test_analyze_stages_keep_their_scratch_small_on_the_published_table():
-    # Each stage's traced peak above what it began with: the fill (beyond the
-    # 71 MB box it returns), mle + monotonicity_mle on that box, then the
-    # posterior and its credible set.  About 8.4, 8.9 and 7.2 MB.
-    x, design = ExperimentData(69, 237, 26, 280), CompletelyRandomized(306, 612)
+def test_boxes_up_to_n_60_are_scanned_in_one_slice():
+    # the heatmap and the Bayes pass scan thousands of these boxes, each with one
+    # comparison and no concatenation
+    n = 60
+    assert max(
+        math.prod(box_shape(i1, i0, c1, n - i1 - i0 - c1))
+        for i1 in range(n + 1)
+        for i0 in range(n - i1 + 1)
+        for c1 in range(n - i1 - i0 + 1)
+    ) == 58_621 <= inference._CHUNK
+
+
+def test_the_analysis_box_drops_the_binomial_table_it_was_filled_from():
+    # 3 MB at n = 612, which the posterior's scratch would otherwise sit on top of
+    x = ExperimentData(50, 11, 23, 31)
     inference._cached_grid.cache_clear()
+    table = weakref.ref(choose_table(x.n))
+    inference._cached_grid(x)
+    assert table() is None
+
+
+def test_analyze_stages_keep_their_scratch_small_on_the_published_table(monkeypatch):
+    # Each stage's traced peak above what it began with: the fill on two bands,
+    # beyond the 71 MB box it returns (3 MB of that is the n = 612 binomial table,
+    # built afresh), mle + monotonicity_mle on that box, then the posterior and
+    # its credible set.  About 4.4, 0.1 and 2.6 MB.
+    x, design = ExperimentData(69, 237, 26, 280), CompletelyRandomized(306, 612)
+    monkeypatch.setattr(likelihood.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    inference._cached_grid.cache_clear()
+    choose_table.cache_clear()
     stages = [
-        lambda: inference._cached_grid(x).nbytes,
-        lambda: (mle(x, design), monotonicity_mle(x, design)) and 0,
-        lambda: smallest_credible_set(posterior(x, 0.95)) and 0,
+        (4_500_000, lambda: inference._cached_grid(x).nbytes),
+        (1_000_000, lambda: (mle(x, design), monotonicity_mle(x, design)) and 0),
+        (3_000_000, lambda: smallest_credible_set(posterior(x, 0.95)) and 0),
     ]
     tracemalloc.start()
     try:
-        for stage in stages:
+        for bound, stage in stages:
             begin = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             kept = stage()
-            assert tracemalloc.get_traced_memory()[1] - begin - kept < 16_000_000
+            assert tracemalloc.get_traced_memory()[1] - begin - kept < bound
     finally:
         tracemalloc.stop()
 
@@ -543,6 +582,32 @@ def test_members_exact_counts_reach_the_level_and_no_fewer_blocks_do(counts, lev
     assert sum(members) * goal.denominator >= goal.numerator * total
     without_last_block = sum(c for c in members if c > members[-1])
     assert without_last_block * goal.denominator < goal.numerator * total
+
+
+@pytest.mark.parametrize(
+    "counts,blocks",
+    [
+        ((0, 0, 306, 306), 1),  # an empty arm reaches the level within the first block
+        ((0, 0, 7, 5), 1),
+        ((4, 3, 2, 5), 2),
+    ],
+)
+def test_posterior_sorts_its_kept_block_only_when_the_first_falls_short(
+    monkeypatch, counts, blocks
+):
+    # The pass keeps four times level / (top mass) entries but sorts and sums that
+    # many first, so a table that reaches the level among them sorts no more.
+    sorted_sizes, crossing = [], inference._crossing
+
+    def counted(top, *rest):
+        sorted_sizes.append(top.size)
+        return crossing(top, *rest)
+
+    monkeypatch.setattr(inference, "_crossing", counted)
+    post = posterior(ExperimentData(*counts), 0.95)
+    inference._cached_grid.cache_clear()  # (0, 0, 306, 306)'s box is 231 MB
+    first = math.ceil(0.95 / post.mass[0])
+    assert sorted_sizes == [first, 4 * first][:blocks]
 
 
 def test_posterior_grows_its_block_to_the_exact_crossing():

@@ -1,8 +1,7 @@
+import hashlib
 import math
 import sys
-import concurrent.futures
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -383,17 +382,32 @@ def test_banded_fill_joins_its_threads_and_raises_a_band_failure(monkeypatch):
     assert np.array_equal(assignment_count_grid(x).view(np.int64), box.view(np.int64))
     assert threading.active_count() == threads
 
-    class FailingBands(ThreadPoolExecutor):
-        def submit(self, fn, *args):
-            def fail(*args):
-                raise MemoryError("a band failed")
+    # every band calls np.multiply; it fails on the bands the fill started threads for
+    caller, multiply = threading.current_thread(), np.multiply
 
-            return super().submit(fail, *args)
+    def multiply_on_the_caller_only(*args, **kwargs):
+        if threading.current_thread() is not caller:
+            raise MemoryError("a band failed")
+        return multiply(*args, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", FailingBands)
+    monkeypatch.setattr(likelihood.np, "multiply", multiply_on_the_caller_only)
     with pytest.raises(MemoryError, match="a band failed"):
         assignment_count_grid(x)
     assert threading.active_count() == threads
+
+
+# SHA-256 of the smoking table's box bytes, shape (96, 350, 264)
+SMOKING_BOX_SHA256 = "fe3ddd78179cf14d0f87be18b27156a972889f3358ac0f5b38dd8e2771e00edc"
+
+
+def test_smoking_box_bytes_are_pinned_at_every_band_count():
+    x = ExperimentData(69, 237, 26, 280)
+    for bands in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            fill_in_bands(mp, bands)
+            box = assignment_count_grid(x)
+        assert box.shape == (96, 350, 264)
+        assert hashlib.sha256(box.tobytes()).hexdigest() == SMOKING_BOX_SHA256
 
 
 def test_smoking_box_bits_do_not_depend_on_the_block_size(monkeypatch):
