@@ -50,9 +50,11 @@ def choose_table(n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be non-negative")
     table = np.zeros((n + 1, n + 1))
-    row = [1]  # exact row a of Pascal's triangle
+    half = [1]  # exact C(a, k) for k <= a // 2; the rest of row a mirrors it
     for a in range(n + 1):
-        table[a, : a + 1] = list(map(float, row))
-        row = [1, *map(operator.add, row[1:], row), 1]
+        table[a, : len(half)] = floats = list(map(float, half))
+        table[a, a + 1 - len(half) : a + 1] = floats[::-1]
+        # C(a+1, k) for k <= (a+1) // 2; for odd a the last is 2 C(a, a // 2)
+        half = [1, *map(operator.add, half[1:], half)] + [2 * half[-1]] * (a % 2)
     table.setflags(write=False)
     return table

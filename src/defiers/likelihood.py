@@ -50,8 +50,9 @@ ORACLE_MAX_N = 20
 # in float64 range: each entry is at most C(n, n//2), so the grid sum is at most
 # C(n+3, 3) * C(n, n//2), 10^307.66 at n=1000; the bound first exceeds the
 # float64 maximum (10^308.25) at n=1002.  Scratch beside the box is small: per
-# fill band a 256 KB ``term`` block and ``head`` for one block of rows (76 KB at
-# n=612); later passes read 512 KB slices, and the posterior holds 2.6 MB at most.
+# fill band a ``term`` block of about 256 KB (228 KB of padded box rows at n=612)
+# and ``head`` for one block of rows (60 KB); later passes read 512 KB slices, and
+# the posterior holds 2.6 MB at most.
 GRID_MAX_N = 1000
 
 # Relative gap within which two box cells may hold equal exact counts, for any
@@ -268,6 +269,13 @@ def _band_edges(i1: int, c0: int, bands: int) -> list[int]:
     return [0, *dict.fromkeys(ends.tolist())]  # non-decreasing; np.unique would load numpy.ma
 
 
+def _padded(i1: int, i0: int, c1: int, c0: int) -> bool:
+    """Whether the fill adds whole box rows of i0+c1+1 cells, not d_i runs of i0+1: where
+    that is at most half again the products, and one a_i's padded slabs fill a block."""
+    width = i0 + c1 + 1
+    return 2 * width <= 3 * (i0 + 1) and (c0 + 1) * (c1 + 1) * width >= _BLOCK_CELLS
+
+
 def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> np.ndarray:
     """Assignment count of every Theta with n = x.n, as its support box.
 
@@ -280,8 +288,13 @@ def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> n
     always takers (a_c) and control non-takers compliers (c_c) determines one
     vector, (at, co, de) = (a_i + a_c, i1 - a_i + c_c, c1 - a_c + d_i), and one
     product of four binomial coefficients.  For each a_i that map is affine and
-    injective, so its products are added onto one strided view of the box, in
-    O((i1+1)(i0+1)(c1+1)(c0+1)) work in all, in 256 KB blocks of a run of a_i
+    injective, so its products are added onto one strided view of the box: a d_i
+    run of i0+1 cells per (a_c, c_c), one de column left per a_c.  Where the box
+    rows of i0+c1+1 cells are at most half again as wide and one a_i's slabs fill
+    a block (``_padded``; every table near the n=612 smoking one), they are padded
+    instead: the products cover whole box rows, 0 outside each d_i run, so each
+    a_c adds one contiguous (co, de) run that numpy need not buffer.  The work is
+    O((i1+1)(i0+1)(c1+1)(c0+1)) in all, in blocks of about 256 KB of a run of a_i
     values by c_c rows.  From 2 * ``_BAND_WORK`` compositions up, bands of box
     columns co, one per usable CPU, fill on their own threads with a block each;
     a cell lies in one band and sums in ascending a_i at any band count.
@@ -299,39 +312,55 @@ def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> n
     box = np.zeros(shape) if box is None else box
     if box.shape != shape or box.dtype != np.float64:
         raise ValueError(f"box must be float64 of shape {shape}, got {box.dtype} of shape {box.shape}")
+    pad = _padded(i1, i0, c1, c0)
+    width = i0 + 1 + pad * c1  # cells a slab row adds onto: its d_i run, or padded, its box row
     s_at, s_co, s_de = box.strides
     view = lambda base, off, shape, strides: np.ndarray(shape, buffer=base, offset=off, strides=strides)
-    # slabs[a_i][c_c, a_c, d_i] is box[a_i + a_c, i1 - a_i + c_c, c1 - a_c + d_i]
-    slabs = view(box, i1 * s_co + c1 * s_de, (i1 + 1, c0 + 1, c1 + 1, i0 + 1),
-                 (s_at - s_co, s_co, s_at - s_de, s_de))
+    # slabs[a_i][a_c, c_c, w] is box[a_i + a_c, i1 - a_i + c_c, w + (1 - pad)(c1 - a_c)]
+    slabs = view(box, i1 * s_co + (1 - pad) * c1 * s_de, (i1 + 1, c1 + 1, c0 + 1, width),
+                 (s_at - s_co, s_at - (1 - pad) * s_de, s_co, s_de))
     # Each factor runs along diagonals of the table (one step down and right is
     # `dr`), so it is a strided view; de_part is copied, head and nt per c_c block.
     # term = ((C(at, a_i) C(co, i1-a_i)) C(de, d_i)) C(nt, i0-d_i); order fixes bits
-    down, dr = table.strides[0], sum(table.strides)
-    # C(a_i + a_c, a_i) by (a_i, 1, a_c); C(i1 - a_i + c_c, i1 - a_i) by (a_i, c_c, 1)
-    at_part = view(table, 0, (i1 + 1, 1, c1 + 1), (dr, 0, down))
-    co_part = view(table, i1 * dr, (i1 + 1, c0 + 1, 1), (-dr, down, 0))
-    # C(c1 - a_c + d_i, d_i) by (a_c, d_i); C(i0 - d_i + c0 - c_c, i0 - d_i) by (c_c, 1, d_i)
+    down, dr, cell = table.strides[0], sum(table.strides), table.itemsize
+    # C(a_i + a_c, a_i) by (a_i, a_c, 1); C(i1 - a_i + c_c, i1 - a_i) by (a_i, 1, c_c)
+    at_part = view(table, 0, (i1 + 1, c1 + 1, 1), (dr, down, 0))
+    co_part = view(table, i1 * dr, (i1 + 1, 1, c0 + 1), (-dr, 0, down))
+    # C(c1 - a_c + d_i, d_i) by (a_c, d_i); C(i0 - d_i + c0 - c_c, i0 - d_i) by (c_c, d_i)
     de_part = view(table, c1 * down, (c1 + 1, i0 + 1), (-down, dr)).copy()
-    nt_part = view(table, i0 * dr + c0 * down, (c0 + 1, 1, i0 + 1), (-down, 0, -dr))
-    rows = min(c0 + 1, max(1, _BLOCK_CELLS // ((c1 + 1) * (i0 + 1))))
-    run = min(i1 + 1, max(1, _BLOCK_CELLS // (rows * (c1 + 1) * (i0 + 1))))  # a_i per block
+    nt_part = view(table, i0 * dr + c0 * down, (c0 + 1, i0 + 1), (-down, -dr))
+    if pad:  # de_part by (a_c, w), at w = c1 - a_c + d_i in its box row and 0 elsewhere
+        de_part, by_d_i = np.zeros((c1 + 1, width)), de_part
+        view(de_part, c1 * cell, by_d_i.shape, ((width - 1) * cell, cell))[...] = by_d_i
+    rows = min(c0 + 1, max(1, _BLOCK_CELLS // ((c1 + 1) * width)))
+    run = min(i1 + 1, max(1, _BLOCK_CELLS // (rows * (c1 + 1) * width)))  # a_i per block
 
     def band(lo: int, hi: int) -> None:  # adds every product onto the columns lo <= co < hi
         def add(k0: int, k1: int, r0: int, r1: int) -> None:  # a_i in [k0, k1), c_c in [r0, r1)
-            part = term[: k1 - k0, : r1 - r0]
-            np.multiply(head[k0:k1, r0 - b0 : r1 - b0, :, None], de_part, out=part)
-            part *= nt[r0 - b0 : r1 - b0]
-            for slab, products in zip(slabs[k0:k1, r0:r1], part):
+            part = term[: k1 - k0, :, : r1 - r0]
+            np.multiply(head[k0:k1, :, r0 - b0 : r1 - b0, None], de_part[:, None], out=part)
+            part *= nt[..., r0 - b0 : r1 - b0, :]
+            for slab, products in zip(slabs[k0:k1, :, r0:r1], part):
                 slab += products
         # c_c = co - i1 + a_i grows with a_i, so blocks of c_c rows taken in
         # order, each run over ascending a_i, still sum each cell in ascending a_i.
         try:
-            term = np.empty((run, rows, c1 + 1, i0 + 1))
+            if pad:  # numpy copies operands whose runs are shorter than its ufunc buffer
+                bufsize = np.setbufsize(16)  # (8,192 cells); runs of box rows it reads in place
+                # nt_rows holds a block's nt_part rows in `slots`, c1 zeros after each and
+                # before the first, so nt[a_c, c_c, w] (shifted by a_c) is 0 where de_part is.
+                # A padded product is (head * 0) * 0 = +0.0, never inf * 0: head, a partial
+                # product of a real term, is at most C(n, n//2).
+                nt_rows = np.zeros(c1 + rows * width)
+                slots = view(nt_rows, c1 * cell, (rows, i0 + 1), (width * cell, cell))
+            term = np.empty((run, c1 + 1, rows, width))
             for b0, k0 in product(range(0, c0 + 1, rows), range(0, i1 + 1, run)):
                 b1, k1 = min(b0 + rows, c0 + 1), min(k0 + run, i1 + 1)
                 if k0 == 0:  # a new block of c_c rows: the head and nt_part rows it reads
-                    head, nt = at_part * co_part[:, b0:b1], nt_part[b0:b1].copy()
+                    head, nt = at_part * co_part[:, :, b0:b1], nt_part[b0:b1].copy()
+                    if pad:
+                        slots[: b1 - b0] = nt
+                        nt = view(nt_rows, 0, (c1 + 1, b1 - b0, width), (cell, width * cell, cell))
                 if lo <= i1 - k1 + 1 + b0 and i1 - k0 + b1 <= hi:  # the block lies in the band
                     add(k0, k1, b0, b1)
                 else:  # across an edge, each a_i over its c_c rows in the band; none if outside
@@ -339,6 +368,8 @@ def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> n
                         add(a_i, a_i + 1, max(b0, lo - i1 + a_i), min(b1, hi - i1 + a_i))
         except BaseException as failure:  # for the calling thread to raise
             failures[lo] = failure
+        if pad:  # the calling thread's later ufuncs buffer as before
+            np.setbufsize(bufsize)
 
     work = (i1 + 1) * (i0 + 1) * (c1 + 1) * (c0 + 1)  # arm compositions
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

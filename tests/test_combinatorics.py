@@ -71,6 +71,14 @@ def test_choose_table_matches_exact():
     # at n=1000 entries are rounded, and the largest nears the float64 maximum
     assert int(table[1000, 500]) != exact_binomial(1000, 500)
     assert 1e299 < table[1000, 500] < np.finfo(np.float64).max
+    # every row of an odd and an even table, each half mirrored, past 2**53 from row 57 on
+    rows = pascal_triangle(612)
+    for n in (611, 612):
+        exact = np.zeros((n + 1, n + 1))
+        for a in range(n + 1):
+            exact[a, : a + 1] = [float(c) for c in rows[a]]
+        assert np.array_equal(choose_table(n).view(np.int64), exact.view(np.int64))
+    assert max(rows[57]) > 2**53 > max(rows[56])
 
 
 def test_log_binomial_accuracy_exhaustive_to_300():

@@ -493,7 +493,8 @@ def test_analyze_stages_keep_their_scratch_small_on_the_published_table(monkeypa
     # Each stage's traced peak above what it began with: the fill on two bands,
     # beyond the 71 MB box it returns (3 MB of that is the n = 612 binomial table,
     # built afresh), mle + monotonicity_mle on that box, then the posterior and
-    # its credible set.  About 4.4, 0.1 and 2.6 MB.
+    # its credible set.  About 3.9, 0.1 and 2.6 MB: the fill's 0.9 MB beside the
+    # table is two bands' 228 KB padded blocks, head and nt rows, and no ufunc buffers.
     x, design = ExperimentData(69, 237, 26, 280), CompletelyRandomized(306, 612)
     monkeypatch.setattr(likelihood.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     inference._cached_grid.cache_clear()

@@ -286,26 +286,38 @@ def fill_in_bands(mp, bands):
     mp.setattr(likelihood.os, "sched_getaffinity", lambda pid: set(range(bands)))
 
 
+def row_cells(i1, i0, c1, c0):
+    """Cells of one c_c row of a block: a slab row of i0+1 cells, or padded, of a box
+    row of i0+c1+1, for every a_c."""
+    return (c1 + 1) * (i0 + 1 + likelihood._padded(i1, i0, c1, c0) * c1)
+
+
 def one_row(i1, i0, c1, c0):
     return 1
 
 
 def ragged(i1, i0, c1, c0):
     """Blocks of max(1, c0) rows: c0+1 rows leave a 1-row last block when c0 > 1."""
-    return c0 * (c1 + 1) * (i0 + 1)
+    return c0 * row_cells(i1, i0, c1, c0)
 
 
 def one_block(i1, i0, c1, c0):
-    return (c0 + 1) * (c1 + 1) * (i0 + 1)
+    return (c0 + 1) * row_cells(i1, i0, c1, c0)
 
 
 def runs_of_two(i1, i0, c1, c0):
     """Every c_c row of two a_i per block: an even i1 leaves a 1-a_i last run."""
-    return 2 * (c0 + 1) * (c1 + 1) * (i0 + 1)
+    return 2 * (c0 + 1) * row_cells(i1, i0, c1, c0)
 
 
 def every_a_i(i1, i0, c1, c0):
-    return (i1 + 1) * (c0 + 1) * (c1 + 1) * (i0 + 1)
+    return (i1 + 1) * (c0 + 1) * row_cells(i1, i0, c1, c0)
+
+
+def fill_in_blocks(mp, counts, block_cells, padded):
+    """Every fill adds d_i runs, or box rows if ``padded``, in blocks of ``block_cells``."""
+    mp.setattr(likelihood, "_padded", lambda i1, i0, c1, c0: padded)
+    mp.setattr(likelihood, "_BLOCK_CELLS", block_cells(*counts))
 
 
 @settings(max_examples=100, deadline=None)
@@ -313,9 +325,11 @@ def every_a_i(i1, i0, c1, c0):
 @example(counts=(4, 3, 2, 5))  # a_i runs 0-1, 2-3 and 4
 @pytest.mark.parametrize("block_cells", [one_row, ragged, runs_of_two, every_a_i])
 def test_blocked_fill_is_bit_equal_to_the_reference(block_cells, counts):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(likelihood, "_BLOCK_CELLS", block_cells(*counts))
-        assert_box_is_the_reference(ExperimentData(*counts))
+    reference = reference_grid(ExperimentData(*counts))
+    for padded in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            fill_in_blocks(mp, counts, block_cells, padded)
+            assert_box_is_the_reference(ExperimentData(*counts), reference)
 
 
 @settings(max_examples=150, deadline=None)
@@ -326,10 +340,12 @@ def test_blocked_fill_is_bit_equal_to_the_reference(block_cells, counts):
 )
 @example(counts=(4, 3, 2, 5), bands=2, block_cells=ragged)  # blocks inside, outside and across
 def test_banded_fill_is_bit_equal_to_the_reference(counts, bands, block_cells):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(likelihood, "_BLOCK_CELLS", block_cells(*counts))
-        fill_in_bands(mp, bands)
-        assert_box_is_the_reference(ExperimentData(*counts))
+    reference = reference_grid(ExperimentData(*counts))
+    for padded in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            fill_in_blocks(mp, counts, block_cells, padded)
+            fill_in_bands(mp, bands)
+            assert_box_is_the_reference(ExperimentData(*counts), reference)
 
 
 @settings(max_examples=150, deadline=None)
@@ -412,13 +428,28 @@ def test_smoking_box_bytes_are_pinned_at_every_band_count():
 
 def test_smoking_box_bits_do_not_depend_on_the_block_size(monkeypatch):
     x = ExperimentData(69, 237, 26, 280)
-    # 5-row blocks of 27 * 238 cells and one a_i at the default, the last one 1 row
-    assert likelihood._BLOCK_CELLS // (27 * 238) == 5 and 281 % 5 == 1
-    assert likelihood._BLOCK_CELLS // (5 * 27 * 238) == 1
+    # padded box rows of 264 cells, in 4-row blocks of 27 * 264 cells and one a_i
+    # at the default, the last one 1 row
+    assert likelihood._padded(*x.counts()) and row_cells(*x.counts()) == 27 * 264
+    assert likelihood._BLOCK_CELLS // (27 * 264) == 4 and 281 % 4 == 1
+    assert likelihood._BLOCK_CELLS // (4 * 27 * 264) == 1
     box = assignment_count_grid(x)
     for block_cells in (one_row, one_block):
         monkeypatch.setattr(likelihood, "_BLOCK_CELLS", block_cells(*x.counts()))
         assert np.array_equal(assignment_count_grid(x).view(np.int64), box.view(np.int64))
+
+
+def test_padded_and_unpadded_fills_agree_near_the_float64_top(monkeypatch):
+    # n = 1000: a 2.76M-cell box whose largest cell is 4.8e298, padded at the default
+    # (box rows of 511 cells against d_i runs of 501); every padded product is +0.0
+    x = ExperimentData(0, 500, 10, 490)
+    assert likelihood._padded(*x.counts())
+    bufsize, box = np.getbufsize(), assignment_count_grid(x)
+    assert np.getbufsize() == bufsize  # the caller's ufuncs buffer as before
+    assert box.size == 2_759_911 and np.isfinite(box).all() and 4.7e298 < box.max() < 4.9e298
+    assert hashlib.sha256(box.tobytes()).hexdigest().startswith("372ffb08aa04")
+    monkeypatch.setattr(likelihood, "_padded", lambda i1, i0, c1, c0: False)
+    assert np.array_equal(assignment_count_grid(x).view(np.int64), box.view(np.int64))
 
 
 def test_support_box_size_at_the_guard():
