@@ -69,6 +69,11 @@ GRID_TIE_BOUND = 2.24e-13
 # box cells it adds onto stay in a 2 MB L2 cache while every a_i passes them.
 _BLOCK_CELLS = 1 << 15
 _BAND_WORK = 1 << 22  # arm compositions per fill band; below two bands, the calling thread fills
+# d_i runs from this length on fill faster under a 16-cell ufunc buffer, shorter
+# ones through numpy's default of 8,192 cells (fills at n = 1000 on a 2-vCPU VM,
+# CPU under 16 cells against the default: 8.7 against 3.8 ms for runs of 8 cells,
+# even for 64, 0.18 against 0.23 s for 128).
+_LONG_RUN = 64
 
 SHARE_SUM_TOL = 1e-12
 
@@ -271,9 +276,10 @@ def _band_edges(i1: int, c0: int, bands: int) -> list[int]:
 
 def _padded(i1: int, i0: int, c1: int, c0: int) -> bool:
     """Whether the fill adds whole box rows of i0+c1+1 cells, not d_i runs of i0+1: where
-    that is at most half again the products, and one a_i's padded slabs fill a block."""
-    width = i0 + c1 + 1
-    return 2 * width <= 3 * (i0 + 1) and (c0 + 1) * (c1 + 1) * width >= _BLOCK_CELLS
+    the runs are long and the rows at most a fifth wider.  Against the runs alone, both
+    under the small buffer, padded rows filled n = 612 boxes on a 2-vCPU VM in 0.56
+    against 0.66 s of CPU at rows 1.2 times the run, and in 0.94 against 0.70 s at 1.25."""
+    return i0 + 1 >= _LONG_RUN and 5 * (i0 + c1 + 1) <= 6 * (i0 + 1)
 
 
 def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> np.ndarray:
@@ -289,15 +295,16 @@ def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> n
     vector, (at, co, de) = (a_i + a_c, i1 - a_i + c_c, c1 - a_c + d_i), and one
     product of four binomial coefficients.  For each a_i that map is affine and
     injective, so its products are added onto one strided view of the box: a d_i
-    run of i0+1 cells per (a_c, c_c), one de column left per a_c.  Where the box
-    rows of i0+c1+1 cells are at most half again as wide and one a_i's slabs fill
-    a block (``_padded``; every table near the n=612 smoking one), they are padded
+    run of i0+1 cells per (a_c, c_c), one de column left per a_c.  Runs of at
+    least ``_LONG_RUN`` cells fill under a 16-cell ufunc buffer, so numpy reads
+    them in place; where the box rows of i0+c1+1 cells are also at most a fifth
+    wider (``_padded``; every table near the n=612 smoking one), they are padded
     instead: the products cover whole box rows, 0 outside each d_i run, so each
-    a_c adds one contiguous (co, de) run that numpy need not buffer.  The work is
-    O((i1+1)(i0+1)(c1+1)(c0+1)) in all, in blocks of about 256 KB of a run of a_i
-    values by c_c rows.  From 2 * ``_BAND_WORK`` compositions up, bands of box
-    columns co, one per usable CPU, fill on their own threads with a block each;
-    a cell lies in one band and sums in ascending a_i at any band count.
+    a_c adds one contiguous (co, de) run.  The work is O((i1+1)(i0+1)(c1+1)(c0+1))
+    in all, in blocks of about 256 KB of a run of a_i values by c_c rows.  From
+    2 * ``_BAND_WORK`` compositions up, bands of box columns co, one per usable
+    CPU, fill on their own threads with a block each; a cell lies in one band and
+    sums in ascending a_i at any band count.
 
     Values are float64; counts are exact wherever they stay below 2**53, and
     suspected ties are confirmed with exact integer sums by callers.
@@ -312,7 +319,7 @@ def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> n
     box = np.zeros(shape) if box is None else box
     if box.shape != shape or box.dtype != np.float64:
         raise ValueError(f"box must be float64 of shape {shape}, got {box.dtype} of shape {box.shape}")
-    pad = _padded(i1, i0, c1, c0)
+    long_runs, pad = i0 + 1 >= _LONG_RUN, _padded(i1, i0, c1, c0)
     width = i0 + 1 + pad * c1  # cells a slab row adds onto: its d_i run, or padded, its box row
     s_at, s_co, s_de = box.strides
     view = lambda base, off, shape, strides: np.ndarray(shape, buffer=base, offset=off, strides=strides)
@@ -345,8 +352,9 @@ def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> n
         # c_c = co - i1 + a_i grows with a_i, so blocks of c_c rows taken in
         # order, each run over ascending a_i, still sum each cell in ascending a_i.
         try:
-            if pad:  # numpy copies operands whose runs are shorter than its ufunc buffer
-                bufsize = np.setbufsize(16)  # (8,192 cells); runs of box rows it reads in place
+            if long_runs:  # numpy copies operands whose runs are shorter than its ufunc buffer
+                bufsize = np.setbufsize(16)  # (8,192 cells); long runs it reads in place
+            if pad:
                 # nt_rows holds a block's nt_part rows in `slots`, c1 zeros after each and
                 # before the first, so nt[a_c, c_c, w] (shifted by a_c) is 0 where de_part is.
                 # A padded product is (head * 0) * 0 = +0.0, never inf * 0: head, a partial
@@ -368,7 +376,7 @@ def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> n
                         add(a_i, a_i + 1, max(b0, lo - i1 + a_i), min(b1, hi - i1 + a_i))
         except BaseException as failure:  # for the calling thread to raise
             failures[lo] = failure
-        if pad:  # the calling thread's later ufuncs buffer as before
+        if long_runs:  # the calling thread's later ufuncs buffer as before
             np.setbufsize(bufsize)
 
     work = (i1 + 1) * (i0 + 1) * (c1 + 1) * (c0 + 1)  # arm compositions

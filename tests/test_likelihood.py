@@ -452,6 +452,31 @@ def test_padded_and_unpadded_fills_agree_near_the_float64_top(monkeypatch):
     assert np.array_equal(assignment_count_grid(x).view(np.int64), box.view(np.int64))
 
 
+def test_the_fill_pads_long_runs_in_rows_at_most_a_fifth_wider():
+    for counts, padded in [
+        ((69, 237, 26, 280), True),  # rows of 264 cells, runs of 238
+        ((0, 500, 10, 490), True),
+        ((10, 63, 12, 10), True),  # runs of 64, rows of 76 = 1.1875 * 64
+        ((10, 62, 12, 10), False),  # runs of 63
+        ((69, 237, 48, 258), False),  # rows of 286 > 1.2 * 238
+        ((80, 5, 3, 912), False),  # runs of 6, however large the box
+        ((300, 6, 280, 26), False),
+    ]:
+        assert likelihood._padded(*counts) is padded, counts
+
+
+def test_long_unpadded_runs_fill_under_a_small_buffer_with_the_same_bits(monkeypatch):
+    x = ExperimentData(2, 70, 20, 5)  # runs of 71 cells in box rows of 91: not padded
+    assert not likelihood._padded(*x.counts())
+    sizes, setbufsize, bufsize = [], np.setbufsize, np.getbufsize()
+    monkeypatch.setattr(np, "setbufsize", lambda size: sizes.append(size) or setbufsize(size))
+    box = assignment_count_grid(x)
+    assert sizes == [16, bufsize] and np.getbufsize() == bufsize
+    monkeypatch.setattr(likelihood, "_LONG_RUN", 72)  # the default buffer
+    assert np.array_equal(assignment_count_grid(x).view(np.int64), box.view(np.int64))
+    assert sizes == [16, bufsize]
+
+
 def test_support_box_size_at_the_guard():
     # The box axes have i1+c1+1, i1+c0+1 and i0+c1+1 cells.  The last two sum
     # to n+2 and the first is at most n+1, so the all-takeup table
