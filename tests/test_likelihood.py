@@ -21,7 +21,7 @@ from defiers.core import (
     theta_index,
 )
 from defiers.combinatorics import LOG_ZERO
-from defiers.inference import _thetas_from_flat
+from defiers.inference import EXACT_FLOAT_LIMIT, _thetas_from_flat
 from defiers.likelihood import (
     GRID_MAX_N,
     GRID_TIE_BOUND,
@@ -278,6 +278,77 @@ def test_smoking_box_at_planes_match_the_exact_chain_at_every_band_count():
         with pytest.MonkeyPatch.context() as mp:
             fill_in_bands(mp, bands)
             assert_at_planes_are_exact_within_the_fill_bound(x, exact)
+
+
+# Each relabeling of a table (i1, i0, c1, c0), with the positions in (at, co, de, nt)
+# of the original vector's image: the arm swap exchanges compliers and defiers;
+# the outcome swap also always and never takers, so at becomes the implied axis;
+# both swaps together, always and never takers only.  Each is its own inverse.
+RELABELINGS = (
+    (lambda i1, i0, c1, c0: (c1, c0, i1, i0), (0, 2, 1, 3)),
+    (lambda i1, i0, c1, c0: (i0, i1, c0, c1), (3, 2, 1, 0)),
+    (lambda i1, i0, c1, c0: (c0, c1, i0, i1), (3, 1, 2, 0)),
+)
+
+
+def box_windows(x, planes):
+    """(lo, box[lo : lo + planes]) for every window of ``planes`` at-planes of x's box."""
+    box = assignment_count_grid(x)
+    for lo in range(0, len(box), planes):
+        yield lo, box[lo : lo + planes]
+
+
+def assert_relabeled_boxes_agree(counts, planes):
+    """Each relabeled table's box holds the original's counts at the relabeled vectors.
+
+    The original box is read whole and each relabeled box in windows of ``planes``
+    at-planes.  Every positive cell of a window maps to a positive cell of the
+    original, and the two boxes have equal numbers of them, so their zero patterns
+    are equal.  The two values of each pair are within 2 gamma / (1 - gamma) of
+    each other (the cell bound of ``GRID_TIE_BOUND``), and bit-equal where both
+    lie below ``EXACT_FLOAT_LIMIT``.
+    """
+    x = ExperimentData(*counts)
+    box, n = assignment_count_grid(x), x.n
+    u, steps = 2.0**-53, n + 7
+    gamma = steps * u / (1 - steps * u)
+    for relabel, image in RELABELINGS:
+        positive = 0
+        for lo, window in box_windows(ExperimentData(*relabel(*counts)), planes):
+            cells = np.flatnonzero(window)
+            rows, de = np.divmod(cells, window.shape[2])
+            at, co = np.divmod(rows, window.shape[1])
+            at += lo
+            theta = (at, co, de, n - at - co - de)
+            at, co, de = (theta[axis] for axis in image[:3])
+            inside = (at >= 0) & (at < box.shape[0]) & (co < box.shape[1]) & (de < box.shape[2])
+            assert inside.all(), "a positive cell maps outside the original box"
+            got = window.reshape(-1)[cells]
+            want = box.reshape(-1)[(at * box.shape[1] + co) * box.shape[2] + de]
+            assert (want > 0).all(), "a positive cell maps onto a zero"
+            assert (np.abs(got - want) <= 2 * gamma / (1 - gamma) * np.minimum(got, want)).all()
+            exact = (got < EXACT_FLOAT_LIMIT) & (want < EXACT_FLOAT_LIMIT)
+            assert np.array_equal(got[exact].view(np.int64), want[exact].view(np.int64))
+            positive += cells.size
+        assert positive == np.count_nonzero(box)
+
+
+@pytest.mark.parametrize(
+    "counts,bands,planes",
+    [
+        ((69, 237, 26, 280), 2, 40),  # the smoking table: padded, its relabelings not
+        ((80, 226, 26, 280), 2, 7),  # the largest box of perfbench's analyze-612 tables
+        ((50, 11, 23, 31), 1, 1),  # organ donation
+        ((50, 11, 23, 31), 2, 7),
+        ((50, 11, 23, 31), 1, 40),
+        ((200, 5, 180, 3), 2, 1),
+        ((100, 0, 100, 0), 1, 40),  # all takeup: the arm swap is the table itself
+    ],
+)
+def test_relabeled_tables_fill_the_same_counts(counts, bands, planes):
+    with pytest.MonkeyPatch.context() as mp:
+        fill_in_bands(mp, bands)
+        assert_relabeled_boxes_agree(counts, planes)
 
 
 def fill_in_bands(mp, bands):
