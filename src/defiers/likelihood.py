@@ -282,29 +282,34 @@ def _padded(i1: int, i0: int, c1: int, c0: int) -> bool:
     return i0 + 1 >= _LONG_RUN and 5 * (i0 + c1 + 1) <= 6 * (i0 + 1)
 
 
-def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> np.ndarray:
-    """Assignment count of every Theta with n = x.n, as its support box.
+def assignment_count_grid(
+    x: ExperimentData, box: np.ndarray | None = None, window: tuple[int, int] | None = None
+) -> np.ndarray:
+    """Assignment count of every Theta with n = x.n, as its support box or a window of it.
 
     Returns ``box[at, co, de]`` (nt implied) of shape ``box_shape(*x.counts())``;
     every Theta outside it has count 0, and so do its cells with at + co + de > n.
-    A zeroed float64 ``box`` of that shape is filled in place (another shape or
-    dtype raises ``ValueError``; zeros are not checked).  This enumerates arm
+    With ``window`` = (lo, hi) it returns only the box rows lo <= at < hi, of shape
+    (hi - lo, co, de), with the bits those rows have in the whole box.  A zeroed
+    float64 ``box`` of that shape is filled in place (another shape or dtype
+    raises ``ValueError``; zeros are not checked).  This enumerates arm
     compositions rather than parameter vectors: how many intervention takers are
     always takers (a_i), intervention non-takers defiers (d_i), control takers
     always takers (a_c) and control non-takers compliers (c_c) determines one
     vector, (at, co, de) = (a_i + a_c, i1 - a_i + c_c, c1 - a_c + d_i), and one
     product of four binomial coefficients.  For each a_i that map is affine and
     injective, so its products are added onto one strided view of the box: a d_i
-    run of i0+1 cells per (a_c, c_c), one de column left per a_c.  Runs of at
-    least ``_LONG_RUN`` cells fill under a 16-cell ufunc buffer, so numpy reads
-    them in place; where the box rows of i0+c1+1 cells are also at most a fifth
-    wider (``_padded``; every table near the n=612 smoking one), they are padded
-    instead: the products cover whole box rows, 0 outside each d_i run, so each
-    a_c adds one contiguous (co, de) run.  The work is O((i1+1)(i0+1)(c1+1)(c0+1))
-    in all, in blocks of about 256 KB of a run of a_i values by c_c rows.  From
-    2 * ``_BAND_WORK`` compositions up, bands of box columns co, one per usable
-    CPU, fill on their own threads with a block each; a cell lies in one band and
-    sums in ascending a_i at any band count.
+    run of i0+1 cells per (a_c, c_c), one de column left per a_c, and only the a_c
+    whose row a_i + a_c lies in the window.  Runs of at least ``_LONG_RUN`` cells
+    fill under a 16-cell ufunc buffer, so numpy reads them in place; where the box
+    rows of i0+c1+1 cells are also at most a fifth wider (``_padded``; every table
+    near the n=612 smoking one), they are padded instead: the products cover whole
+    box rows, 0 outside each d_i run, so each a_c adds one contiguous (co, de) run.
+    The work is O((i1+1)(i0+1)(c1+1)(c0+1)) for the whole box, in blocks of about
+    256 KB of a run of a_i values by c_c rows.  From 2 * ``_BAND_WORK`` compositions
+    in the window up, bands of box columns co, one per usable CPU, fill on their
+    own threads with a block each; a cell lies in one band and sums in ascending
+    a_i at any band count and in any window.
 
     Values are float64; counts are exact wherever they stay below 2**53, and
     suspected ties are confirmed with exact integer sums by callers.
@@ -315,7 +320,11 @@ def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> n
             f"full likelihood grid at n={n} exceeds the guard of {GRID_MAX_N}"
         )
     i1, i0, c1, c0 = x.counts()
-    table, shape = choose_table(n), box_shape(i1, i0, c1, c0)
+    table, (at_n, co_n, de_n) = choose_table(n), box_shape(i1, i0, c1, c0)
+    lo, hi = (0, at_n) if window is None else window
+    if not 0 <= lo < hi <= at_n:
+        raise ValueError(f"window must be box rows lo <= at < hi within [0, {at_n}), got {window}")
+    shape, span = (hi - lo, co_n, de_n), min(c1 + 1, hi - lo)  # span: a_c per a_i, at most
     box = np.zeros(shape) if box is None else box
     if box.shape != shape or box.dtype != np.float64:
         raise ValueError(f"box must be float64 of shape {shape}, got {box.dtype} of shape {box.shape}")
@@ -323,11 +332,16 @@ def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> n
     width = i0 + 1 + pad * c1  # cells a slab row adds onto: its d_i run, or padded, its box row
     s_at, s_co, s_de = box.strides
     view = lambda base, off, shape, strides: np.ndarray(shape, buffer=base, offset=off, strides=strides)
-    # slabs[a_i][a_c, c_c, w] is box[a_i + a_c, i1 - a_i + c_c, w + (1 - pad)(c1 - a_c)]
-    slabs = view(box, i1 * s_co + (1 - pad) * c1 * s_de, (i1 + 1, c1 + 1, c0 + 1, width),
-                 (s_at - s_co, s_at - (1 - pad) * s_de, s_co, s_de))
+    a_step, c_step = s_at - s_co, s_at - (1 - pad) * s_de
+
+    def slabs(k0: int, k1: int, p0: int, p1: int, r0: int, r1: int) -> np.ndarray:
+        """box[a_i + a_c - lo, i1 - a_i + c_c, w + (1 - pad)(c1 - a_c)] by (a_i, a_c, c_c, w)
+        for a_i in [k0, k1), a_c in [p0, p1) and c_c in [r0, r1), all rows in the window."""
+        off = (k0 + p0 - lo) * s_at + (i1 - k0 + r0) * s_co + (1 - pad) * (c1 - p0) * s_de
+        return view(box, off, (k1 - k0, p1 - p0, r1 - r0, width), (a_step, c_step, s_co, s_de))
+
     # Each factor runs along diagonals of the table (one step down and right is
-    # `dr`), so it is a strided view; de_part is copied, head and nt per c_c block.
+    # `dr`), so it is a strided view; de_part is copied, nt per c_c block, head per block.
     # term = ((C(at, a_i) C(co, i1-a_i)) C(de, d_i)) C(nt, i0-d_i); order fixes bits
     down, dr, cell = table.strides[0], sum(table.strides), table.itemsize
     # C(a_i + a_c, a_i) by (a_i, a_c, 1); C(i1 - a_i + c_c, i1 - a_i) by (a_i, 1, c_c)
@@ -339,16 +353,27 @@ def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> n
     if pad:  # de_part by (a_c, w), at w = c1 - a_c + d_i in its box row and 0 elsewhere
         de_part, by_d_i = np.zeros((c1 + 1, width)), de_part
         view(de_part, c1 * cell, by_d_i.shape, ((width - 1) * cell, cell))[...] = by_d_i
-    rows = min(c0 + 1, max(1, _BLOCK_CELLS // ((c1 + 1) * width)))
-    run = min(i1 + 1, max(1, _BLOCK_CELLS // (rows * (c1 + 1) * width)))  # a_i per block
+    rows = min(c0 + 1, max(1, _BLOCK_CELLS // (span * width)))
+    run = min(i1 + 1, max(1, _BLOCK_CELLS // (rows * span * width)))  # a_i per block
+    if span < c1 + 1:  # a run's a_c, each a_i's span shifted by one per a_i, stay in 2 spans
+        run = min(run, span)
+    first = max(0, lo - c1)  # a_i from here to hi - 1 reach the window
 
-    def band(lo: int, hi: int) -> None:  # adds every product onto the columns lo <= co < hi
+    def band(e0: int, e1: int) -> None:  # adds every product onto the columns e0 <= co < e1
         def add(k0: int, k1: int, r0: int, r1: int) -> None:  # a_i in [k0, k1), c_c in [r0, r1)
-            part = term[: k1 - k0, :, : r1 - r0]
-            np.multiply(head[k0:k1, :, r0 - b0 : r1 - b0, None], de_part[:, None], out=part)
-            part *= nt[..., r0 - b0 : r1 - b0, :]
-            for slab, products in zip(slabs[k0:k1, :, r0:r1], part):
-                slab += products
+            p0, p1 = max(0, lo - k1 + 1), min(c1 + 1, hi - k0)  # their a_c
+            head = at_part[k0:k1, p0:p1] * co_part[k0:k1, :, r0:r1]
+            part = term[: k1 - k0, : p1 - p0, : r1 - r0]
+            np.multiply(head[..., None], de_part[p0:p1, None], out=part)
+            part *= (nt[p0:p1] if pad else nt)[..., r0 - b0 : r1 - b0, :]
+            if lo <= k0 + p0 and k1 + p1 <= hi + 1:  # each a_i adds products of every a_c
+                for slab, products in zip(slabs(k0, k1, p0, p1, r0, r1), part):
+                    slab += products
+                return
+            for a_i, products in enumerate(part, k0):  # each a_i adds its a_c in the window
+                q0, q1 = max(p0, lo - a_i), min(p1, hi - a_i)
+                if q0 < q1:
+                    slabs(a_i, a_i + 1, q0, q1, r0, r1)[0] += products[q0 - p0 : q1 - p0]
         # c_c = co - i1 + a_i grows with a_i, so blocks of c_c rows taken in
         # order, each run over ascending a_i, still sum each cell in ascending a_i.
         try:
@@ -361,25 +386,28 @@ def assignment_count_grid(x: ExperimentData, box: np.ndarray | None = None) -> n
                 # product of a real term, is at most C(n, n//2).
                 nt_rows = np.zeros(c1 + rows * width)
                 slots = view(nt_rows, c1 * cell, (rows, i0 + 1), (width * cell, cell))
-            term = np.empty((run, c1 + 1, rows, width))
-            for b0, k0 in product(range(0, c0 + 1, rows), range(0, i1 + 1, run)):
-                b1, k1 = min(b0 + rows, c0 + 1), min(k0 + run, i1 + 1)
-                if k0 == 0:  # a new block of c_c rows: the head and nt_part rows it reads
-                    head, nt = at_part * co_part[:, :, b0:b1], nt_part[b0:b1].copy()
+            term = np.empty((run, min(c1 + 1, span + run - 1), rows, width))
+            for b0, k0 in product(range(0, c0 + 1, rows), range(first, min(i1 + 1, hi), run)):
+                b1, k1 = min(b0 + rows, c0 + 1), min(k0 + run, i1 + 1, hi)
+                if k0 == first:  # a new block of c_c rows: the nt_part rows it reads
+                    nt = nt_part[b0:b1].copy()
                     if pad:
                         slots[: b1 - b0] = nt
                         nt = view(nt_rows, 0, (c1 + 1, b1 - b0, width), (cell, width * cell, cell))
-                if lo <= i1 - k1 + 1 + b0 and i1 - k0 + b1 <= hi:  # the block lies in the band
+                if e0 <= i1 - k1 + 1 + b0 and i1 - k0 + b1 <= e1:  # the block lies in the band
                     add(k0, k1, b0, b1)
                 else:  # across an edge, each a_i over its c_c rows in the band; none if outside
-                    for a_i in range(max(k0, b0 + i1 - hi + 1), min(k1, b1 + i1 - lo)):
-                        add(a_i, a_i + 1, max(b0, lo - i1 + a_i), min(b1, hi - i1 + a_i))
+                    for a_i in range(max(k0, b0 + i1 - e1 + 1), min(k1, b1 + i1 - e0)):
+                        add(a_i, a_i + 1, max(b0, e0 - i1 + a_i), min(b1, e1 - i1 + a_i))
         except BaseException as failure:  # for the calling thread to raise
-            failures[lo] = failure
+            failures[e0] = failure
         if long_runs:  # the calling thread's later ufuncs buffer as before
             np.setbufsize(bufsize)
 
-    work = (i1 + 1) * (i0 + 1) * (c1 + 1) * (c0 + 1)  # arm compositions
+    pairs = (i1 + 1) * (c1 + 1)  # (a_i, a_c) whose row a_i + a_c lies in the window
+    if hi - lo < at_n:
+        pairs = sum(min(c1 + 1, hi - a) - max(0, lo - a) for a in range(first, min(i1 + 1, hi)))
+    work = pairs * (i0 + 1) * (c0 + 1)  # arm compositions
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     bands = min(cpus, work // _BAND_WORK)  # _band_edges would add 9% to an n=50 fill
     edges, failures = _band_edges(i1, c0, bands) if bands > 1 else [0, i1 + c0 + 1], {}

@@ -27,6 +27,7 @@ from defiers.likelihood import (
     GRID_TIE_BOUND,
     PopulationShares,
     assignment_count_grid,
+    box_shape,
     exact_assignment_count,
     index_set,
     log_likelihood,
@@ -292,10 +293,15 @@ RELABELINGS = (
 
 
 def box_windows(x, planes):
-    """(lo, box[lo : lo + planes]) for every window of ``planes`` at-planes of x's box."""
-    box = assignment_count_grid(x)
-    for lo in range(0, len(box), planes):
-        yield lo, box[lo : lo + planes]
+    """(lo, box rows lo <= at < lo + planes) over x's box, each window filled alone
+    into one reused buffer."""
+    at_n, co_n, de_n = box_shape(*x.counts())
+    buffer = np.empty(min(planes, at_n) * co_n * de_n)
+    for lo in range(0, at_n, planes):
+        hi = min(lo + planes, at_n)
+        window = buffer[: (hi - lo) * co_n * de_n].reshape(hi - lo, co_n, de_n)
+        window[...] = 0.0
+        yield lo, assignment_count_grid(x, window, (lo, hi))
 
 
 def assert_relabeled_boxes_agree(counts, planes):
@@ -305,8 +311,8 @@ def assert_relabeled_boxes_agree(counts, planes):
     at-planes.  Every positive cell of a window maps to a positive cell of the
     original, and the two boxes have equal numbers of them, so their zero patterns
     are equal.  The two values of each pair are within 2 gamma / (1 - gamma) of
-    each other (the cell bound of ``GRID_TIE_BOUND``), and bit-equal where both
-    lie below ``EXACT_FLOAT_LIMIT``.
+    each other (the cell bound behind ``GRID_TIE_BOUND``), and bit-equal where
+    both lie below ``EXACT_FLOAT_LIMIT``.
     """
     x = ExperimentData(*counts)
     box, n = assignment_count_grid(x), x.n
@@ -320,15 +326,13 @@ def assert_relabeled_boxes_agree(counts, planes):
             at, co = np.divmod(rows, window.shape[1])
             at += lo
             theta = (at, co, de, n - at - co - de)
-            at, co, de = (theta[axis] for axis in image[:3])
-            inside = (at >= 0) & (at < box.shape[0]) & (co < box.shape[1]) & (de < box.shape[2])
-            assert inside.all(), "a positive cell maps outside the original box"
-            got = window.reshape(-1)[cells]
-            want = box.reshape(-1)[(at * box.shape[1] + co) * box.shape[2] + de]
+            # raises if a positive cell maps outside the original box
+            mapped = np.ravel_multi_index(tuple(theta[axis] for axis in image[:3]), box.shape)
+            got, want = window.reshape(-1)[cells], box.reshape(-1)[mapped]
             assert (want > 0).all(), "a positive cell maps onto a zero"
-            assert (np.abs(got - want) <= 2 * gamma / (1 - gamma) * np.minimum(got, want)).all()
-            exact = (got < EXACT_FLOAT_LIMIT) & (want < EXACT_FLOAT_LIMIT)
-            assert np.array_equal(got[exact].view(np.int64), want[exact].view(np.int64))
+            gap = np.abs(got - want)
+            assert (gap <= 2 * gamma / (1 - gamma) * np.minimum(got, want)).all()
+            assert not gap[np.maximum(got, want) < EXACT_FLOAT_LIMIT].any()
             positive += cells.size
         assert positive == np.count_nonzero(box)
 
@@ -341,8 +345,9 @@ def assert_relabeled_boxes_agree(counts, planes):
         ((50, 11, 23, 31), 1, 1),  # organ donation
         ((50, 11, 23, 31), 2, 7),
         ((50, 11, 23, 31), 1, 40),
-        ((200, 5, 180, 3), 2, 1),
-        ((100, 0, 100, 0), 1, 40),  # all takeup: the arm swap is the table itself
+        ((200, 5, 180, 3), 2, 40),
+        ((100, 0, 100, 0), 1, 1),  # all takeup: the arm swap is the table itself
+        ((100, 0, 100, 0), 2, 7),
     ],
 )
 def test_relabeled_tables_fill_the_same_counts(counts, bands, planes):
@@ -495,6 +500,47 @@ def test_smoking_box_bytes_are_pinned_at_every_band_count():
             box = assignment_count_grid(x)
         assert box.shape == (96, 350, 264)
         assert hashlib.sha256(box.tobytes()).hexdigest() == SMOKING_BOX_SHA256
+
+
+def test_smoking_box_bytes_are_pinned_over_windows_of_every_size():
+    # each window filled alone, into a reused buffer, at one band and at two
+    x = ExperimentData(69, 237, 26, 280)
+    for planes, bands in ((1, 1), (7, 2), (40, 1)):
+        with pytest.MonkeyPatch.context() as mp:
+            fill_in_bands(mp, bands)
+            digest = hashlib.sha256()
+            for _, window in box_windows(x, planes):
+                digest.update(window.tobytes())
+        assert digest.hexdigest() == SMOKING_BOX_SHA256
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    counts=tables(),
+    planes=st.integers(1, 5),
+    bands=st.integers(1, 3),
+    block_cells=st.sampled_from([one_row, ragged, runs_of_two, every_a_i]),
+)
+@example(counts=(4, 3, 2, 5), planes=2, bands=2, block_cells=every_a_i)  # runs across windows
+def test_windows_of_the_box_are_bit_equal_to_the_reference(counts, planes, bands, block_cells):
+    x = ExperimentData(*counts)
+    reference = reference_grid(x)
+    for padded in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            fill_in_blocks(mp, counts, block_cells, padded)
+            fill_in_bands(mp, bands)
+            box = np.concatenate([window.copy() for _, window in box_windows(x, planes)])
+        assert np.array_equal(canonical(box, x.n).view(np.int64), reference.view(np.int64))
+
+
+def test_a_window_must_be_rows_of_the_box():
+    x = ExperimentData(4, 3, 2, 5)  # 7 box rows
+    assert assignment_count_grid(x, window=(6, 7)).shape == (1, 10, 6)
+    for window in ((0, 8), (-1, 2), (3, 3), (5, 4)):
+        with pytest.raises(ValueError, match="window must be box rows"):
+            assignment_count_grid(x, window=window)
+    with pytest.raises(ValueError, match="box must be float64 of shape"):
+        assignment_count_grid(x, np.zeros((7, 10, 6)), (0, 6))
 
 
 def test_smoking_box_bits_do_not_depend_on_the_block_size(monkeypatch):
