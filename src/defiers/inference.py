@@ -8,6 +8,12 @@ where they are exact, integer recounts otherwise.  One routine,
 ``_argmax_ties``, finds the maximizers of any number of boxes at once: one for
 ``mle`` and ``monotonicity_mle``, a batch for the heatmap and the Bayes rules.
 
+``mle``, ``monotonicity_mle`` and ``posterior`` never hold a data set's box.
+They read ``_scan(x)``: one pass over the box in windows of at-planes, last
+first, each filled into one reused buffer of ``_WINDOW_CELLS`` cells, which
+keeps the box's top and maximizer suspects, its planes de = 0 and co = 0, its
+normaliser and exact total and its largest values (``_Kept``).
+
 ``posterior(x, level)`` returns a ``PosteriorTable`` that holds only the top
 of the sorted posterior: every entry with mass at or above the mass where the
 cumulative sum crosses ``level``, in descending likelihood and then canonical
@@ -15,8 +21,6 @@ order.  Its masses do not depend on the design.  ``smallest_credible_set(post)``
 reads it at the table's own level.  Where the box is exact (see
 ``EXACT_FLOAT_LIMIT``) both decide the crossing in integers, reading the level
 as the decimal it prints as: ``Fraction(repr(0.95))`` is 19/20 (``_crossing``).
-``posterior`` reads the box in bounded chunks and never copies every value:
-see ``_normaliser`` and ``posterior``.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,10 +42,10 @@ from .core import (
     check_design,
     theta_index,
 )
-from .combinatorics import choose_table
 from .likelihood import (
     GRID_TIE_BOUND,
     assignment_count_grid,
+    box_shape,
     exact_assignment_count,
     log_likelihood,
 )
@@ -49,12 +53,20 @@ from .likelihood import (
 # The posterior normaliser sums the whole grid, zeros included, up to this
 # sample size and the positive entries above it.  The two pairwise-sum orders
 # can differ in the last bit; keeping both keeps reported masses bit-identical.
-# Either order is read in _CHUNK runs, so the posterior's scratch beside the box
-# is a few runs and its table: 2.4 MB at n=612, 1.7 MB at n=300 (tracemalloc).
 FULL_TABLE_MAX_N = 300
 
-# Values read at once from the box or the normaliser's order (posterior, MLE scan).
+# Values read at once from a box or window, or from the normaliser's order.
 _CHUNK = 1 << 16  # 512 KB of float64
+
+# Cells of the window of at-planes ``_scan`` fills at a time, whole planes at
+# least (4 MB; five planes of the n=612 smoking box, 4 of 251,001 cells at the
+# guard).  Beside it the scan holds the binomial table (3 MB at n=612) and the
+# ``_Kept`` buffer.
+_WINDOW_CELLS = 1 << 19
+
+# Values the posterior keeps from the scan, with their box positions (``_Kept``):
+# 71,111 of them make the smoking table's posterior.
+_KEPT_CELLS = 1 << 17
 
 # Where box values are not exact (see the next constant), at most this many
 # cells are recounted in integers; more stay unconfirmed, grouped by bit-equal
@@ -66,14 +78,6 @@ EXACT_TIE_CAP = 10_000
 # partial product is at most the term, which is at most its cell.  Values below
 # it are their own exact counts: no recount runs and no cap applies.
 EXACT_FLOAT_LIMIT = 2.0**53
-
-
-@functools.lru_cache(maxsize=1)
-def _cached_grid(x: ExperimentData) -> np.ndarray:
-    grid = assignment_count_grid(x)
-    grid.setflags(write=False)
-    choose_table.cache_clear()  # an analysis reads only the box; the table is 3 MB at n=612
-    return grid
 
 
 @dataclass(frozen=True)
@@ -113,35 +117,50 @@ def _at_least(flat: np.ndarray, cut: float) -> np.ndarray:
     return np.concatenate([np.flatnonzero(flat[s : s + _CHUNK] >= cut) + s for s in starts])
 
 
+def _plane_suspects(
+    no_de: np.ndarray, no_co: np.ndarray, shape: tuple[int, int, int]
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """``_suspects`` of the monotone maximum, from a box's planes de = 0 (``no_de``, by
+    (at, co)) and co = 0 (``no_co``, by (at, de)), which hold the corner (at, 0, 0) once."""
+    _, co_n, de_n = shape
+    no_co = no_co[:, 1:]
+    top = max(no_de.max(), no_co.max(initial=0.0))
+    cut = top * (1.0 - GRID_TIE_BOUND)
+    (at, co), (at_c, de) = (no_de >= cut).nonzero(), (no_co >= cut).nonzero()
+    hits = np.concatenate(((at * co_n + co) * de_n, at_c * co_n * de_n + de + 1))
+    return top, hits, np.concatenate((no_de[at, co], no_co[at_c, de]))
+
+
+def _suspects(box, monotone: bool | None) -> tuple[float, np.ndarray, np.ndarray]:
+    """(top, hits, values) of a support box or a ``_Scan`` of one: its largest value (in
+    the planes de = 0 and co = 0 if ``monotone``) and its cells within ``GRID_TIE_BOUND``
+    of it, as positions in the box's C order and their values."""
+    if isinstance(box, _Scan):
+        return box.suspects(monotone)
+    if monotone:
+        return _plane_suspects(box[:, :, 0], box[:, 0], box.shape)
+    raveled = box.reshape(-1)
+    top = raveled.max()
+    hits = _at_least(raveled, top * (1.0 - GRID_TIE_BOUND))
+    return top, hits, raveled[hits]
+
+
 def _argmax_ties(
-    boxes: Sequence[np.ndarray], xs: Sequence[ExperimentData], monotone: bool | None = None
+    boxes: Sequence, xs: Sequence[ExperimentData], monotone: bool | None = None
 ) -> tuple[np.ndarray, bool, np.ndarray]:
     """Every box's exact maximizers, as (flat, verified, owner).
 
-    ``boxes[k]`` is the support box of ``xs[k]``, all of one n.  ``flat`` holds
-    canonical flat indices, ascending within each owner; ``owner`` the position
-    k of each one's box.  Suspects lie within ``GRID_TIE_BOUND`` of the box's
-    top: below ``EXACT_FLOAT_LIMIT`` its bit-equal maxima are the exact ones,
-    above it ``_exact_counts`` confirms them.  ``verified`` is false when some
-    box had too many suspects to confirm and keeps its bit-equal maxima.
-    ``monotone`` restricts the search to vectors with no defiers or no
-    compliers; it is passed positionally, None when unrestricted, as
-    perfbench's tracer reads it.
+    ``boxes[k]`` is the support box of ``xs[k]``, all of one n, or a ``_Scan`` of
+    it.  ``flat`` holds canonical flat indices, ascending within each owner;
+    ``owner`` the position k of each one's box.  Suspects lie within
+    ``GRID_TIE_BOUND`` of the box's top (``_suspects``): below
+    ``EXACT_FLOAT_LIMIT`` its bit-equal maxima are the exact ones, above it
+    ``_exact_counts`` confirms them.  ``verified`` is false when some box had too
+    many suspects to confirm and keeps its bit-equal maxima.  ``monotone``
+    restricts the search to vectors with no defiers or no compliers; it is passed
+    positionally, None when unrestricted, as perfbench's tracer reads it.
     """
-    tops, hits, values = [], [], []  # hits: suspects as cells of the box's own C order
-    for box in boxes:
-        _, co_n, de_n = box.shape
-        raveled = box.reshape(-1)
-        if monotone:  # planes de = 0 and co = 0, holding the corner (at, 0, 0) once
-            no_de, no_co = raveled[::de_n], box[:, 0, 1:]
-            tops.append(max(no_de.max(), no_co.max(initial=0.0)))
-            cut = tops[-1] * (1.0 - GRID_TIE_BOUND)
-            (at, de), (plane,) = (no_co >= cut).nonzero(), (no_de >= cut).nonzero()
-            hits.append(np.concatenate((plane * de_n, at * co_n * de_n + de + 1)))
-        else:
-            tops.append(raveled.max())
-            hits.append(_at_least(raveled, tops[-1] * (1.0 - GRID_TIE_BOUND)))
-        values.append(raveled[hits[-1]])
+    tops, hits, values = zip(*(_suspects(box, monotone) for box in boxes))
     if min(tops) <= 0.0:
         raise AssertionError("likelihood is zero everywhere; data inconsistent")
     owner = np.repeat(np.arange(len(hits)), [h.size for h in hits])
@@ -161,6 +180,136 @@ def _argmax_ties(
     return flat, verified, owner
 
 
+def _windows(x: ExperimentData) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, window) over x's support box, last first: each window its box rows
+    lo <= at < lo + len(window), filled in turn into one buffer of ``_WINDOW_CELLS``."""
+    at_n, co_n, de_n = box_shape(*x.counts())
+    planes = max(1, _WINDOW_CELLS // (co_n * de_n))
+    buffer = np.empty(min(planes, at_n) * co_n * de_n)
+    for hi in range(at_n, 0, -planes):
+        lo = max(0, hi - planes)
+        window = buffer[: (hi - lo) * co_n * de_n].reshape(hi - lo, co_n, de_n)
+        window[...] = 0.0
+        yield lo, assignment_count_grid(x, window, (lo, hi))
+
+
+def _parts(lo: int, window: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, part): a window's cells in ``_CHUNK`` runs, with their first box position."""
+    flat, base = window.reshape(-1), lo * window[0].size
+    return ((base + s, flat[s : s + _CHUNK]) for s in range(0, flat.size, _CHUNK))
+
+
+class _Kept:
+    """The largest positive values of a box, with their C-order box positions, read in parts.
+
+    Every value above ``floor`` is held, and none below it.  Once more than twice
+    ``cap`` are held, the ``cap`` largest stay and ``floor`` rises to the least of
+    them (Munro and Paterson, "Selection and Sorting with Limited Storage", TCS 12,
+    1980), so it holds at most 2 cap + ``_CHUNK`` values.
+    """
+
+    def __init__(self, cap: float, floor: float = 0.0) -> None:
+        self.cap, self.floor, self.held, self.parts = cap, floor, 0, []
+
+    def add(self, part: np.ndarray, start: int) -> None:
+        picked = np.flatnonzero(part > self.floor)
+        self.parts.append((part[picked], (picked + start).astype(np.uint32)))  # < 2**32 cells
+        self.held += picked.size
+        if self.held > 2 * self.cap:
+            values, positions = self.arrays()
+            top = np.argpartition(values, self.held - self.cap)[self.held - self.cap :]
+            self.parts, self.held = [(values[top], positions[top])], self.cap
+            self.floor = values[top[0]]
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, positions) of every value held, in no particular order."""
+        if len(self.parts) != 1:
+            self.parts = [tuple(map(np.concatenate, zip(*self.parts)))] if self.parts else [
+                (np.empty(0), np.empty(0, np.uint32))
+            ]
+        return self.parts[0]
+
+
+def _refill(x: ExperimentData, kept: _Kept) -> _Kept:
+    """``kept`` after a further fill of x's box, window by window, that reads nothing else."""
+    for lo, window in _windows(x):
+        for start, part in _parts(lo, window):
+            kept.add(part, start)
+    return kept
+
+
+class _Scan:
+    """What ``mle``, ``monotonicity_mle`` and ``posterior`` read of x's support box,
+    from one pass over it in windows of at-planes (``_windows``), last first.
+
+    It keeps the box's ``shape`` and largest value ``top``, the cells within
+    ``GRID_TIE_BOUND`` of it (``hits``: ascending C-order positions, and their
+    ``values``), copies of the planes de = 0 (``no_de``) and co = 0 (``no_co``),
+    the normaliser ``total`` (``_normaliser``), the integer total while every value
+    lies below ``EXACT_FLOAT_LIMIT`` (``exact_total``, else None), and the largest
+    values with their positions (``kept``, a ``_Kept`` of ``_KEPT_CELLS``).  The
+    suspects are collected against the running top and filtered as it rises.
+    """
+
+    def __init__(self, x: ExperimentData) -> None:
+        self.x, self.shape, windows = x, box_shape(*x.counts()), _windows(x)
+        first = next(windows)  # its fill checks the size guard before anything here is allocated
+        at_n, co_n, de_n = self.shape
+        self.no_de, self.no_co = np.empty((at_n, co_n)), np.empty((at_n, de_n))
+        self.top, self.exact_total, self.kept = 0.0, 0, _Kept(_KEPT_CELLS)
+        self.hits, self.values = np.empty(0, np.int64), np.empty(0)
+        planes = self._read(itertools.chain([first], windows))
+        self.total = _normaliser(planes, self.shape, _support_size(x), theta_index(x.n))
+        for _ in planes:  # the windows past the normaliser's last positive cell
+            pass
+        self.kept.arrays()
+
+    def _read(self, windows: Iterator[tuple[int, np.ndarray]]) -> Iterator[np.ndarray]:
+        """The box's at-planes, last first; each window is read whole as it is filled."""
+        for lo, window in windows:
+            self.no_de[lo : lo + len(window)], self.no_co[lo : lo + len(window)] = (
+                window[:, :, 0], window[:, 0]
+            )
+            hits, values = [], []
+            for start, part in _parts(lo, window):
+                self.top = max(self.top, float(part.max()))
+                if self.exact_total is not None and self.top >= EXACT_FLOAT_LIMIT:
+                    self.exact_total = None
+                if self.exact_total is not None:
+                    high, low = _int_halves(part)
+                    self.exact_total += (int(high.sum()) << 26) + int(low.sum())
+                self.kept.add(part, start)
+                if self.top > 0.0:
+                    hit = np.flatnonzero(part >= self.top * (1.0 - GRID_TIE_BOUND))
+                    hits.append(hit + start)
+                    values.append(part[hit])
+            hits, values = np.concatenate([*hits, self.hits]), np.concatenate([*values, self.values])
+            near = values >= self.top * (1.0 - GRID_TIE_BOUND)
+            self.hits, self.values = hits[near], values[near]
+            yield from window[::-1]
+
+    def suspects(self, monotone: bool | None) -> tuple[float, np.ndarray, np.ndarray]:
+        if monotone:
+            return _plane_suspects(self.no_de, self.no_co, self.shape)
+        return self.top, self.hits, self.values
+
+
+@functools.lru_cache(maxsize=1)
+def _scan(x: ExperimentData) -> _Scan:
+    return _Scan(x)
+
+
+def _support_size(x: ExperimentData) -> int:
+    """Positive cells of x's box.  Per (at, co), ``index_set`` is feasible for the de of
+    one run: its bounds without de are lo <= hi, and those with de give the run's ends."""
+    i1, i0, c1, c0 = x.counts()
+    at, co = np.ogrid[: i1 + c1 + 1, : i1 + c0 + 1]
+    lo = np.maximum(np.maximum(0, i1 - co), at - c1)
+    hi = np.minimum(np.minimum(at, i1), i1 + c0 - co)
+    runs = hi - at + i0 + c1 + 1 - np.maximum(0, lo - at + c1)
+    return int(runs[lo <= hi].sum())
+
+
 def _thetas_from_flat(n: int, flat: np.ndarray) -> tuple[Theta, ...]:
     index = theta_index(n)
     at, co, de, nt = index.components(flat)
@@ -171,7 +320,7 @@ def _thetas_from_flat(n: int, flat: np.ndarray) -> tuple[Theta, ...]:
 
 def _mle_over(x: ExperimentData, design: Design, monotone: bool | None) -> MleResult:
     check_design(x, design)
-    flat, verified, _ = _argmax_ties([_cached_grid(x)], [x], monotone)
+    flat, verified, _ = _argmax_ties([_scan(x)], [x], monotone)
     maximizers = _thetas_from_flat(x.n, flat)
     return MleResult(
         maximizers=maximizers,
@@ -226,27 +375,29 @@ def _tree_sum(take: Callable[[int], np.ndarray], size: int) -> float:
     return _tree_sum(take, half) + _tree_sum(take, size - half)
 
 
-def _normaliser(box: np.ndarray, index: ThetaIndex) -> float:
+def _normaliser(
+    planes: Iterator[np.ndarray], shape: tuple[int, int, int], support: int, index: ThetaIndex
+) -> float:
     """The likelihood's sum in canonical order, bit for bit as ``.sum()`` gives it.
 
-    Only positive cells count above FULL_TABLE_MAX_N, every position up to it.
-    The box's planes, last first, hold consecutive runs of that order: a
-    reversed plane lists its cells canonically, and up to the limit each is
-    scattered into its at-block of zeros, after the at-blocks above the box.
+    ``planes`` are a box's at-planes, last first, which hold consecutive runs of
+    that order: a reversed plane lists its cells canonically.  Only the box's
+    ``support`` positive cells count above FULL_TABLE_MAX_N; every position up to
+    it, each plane scattered into its at-block of zeros, after the at-blocks above
+    the box.  It reads the planes only as far as its last value.
     """
-    n, full = index.n, index.n <= FULL_TABLE_MAX_N
-    co, de = np.ogrid[: box.shape[1], : box.shape[2]]
+    n, full, at_n = index.n, index.n <= FULL_TABLE_MAX_N, shape[0]
+    co, de = np.ogrid[: shape[1], : shape[2]]
 
-    def run(at: int) -> np.ndarray:
-        plane = box[at]
+    def run(at: int, plane: np.ndarray) -> np.ndarray:
         if not full:
             return plane[plane > 0][::-1]
         block, inside = np.zeros(math.comb(n - at + 2, 2)), co + de <= n - at
         block[index.flatten(at, co, de)[inside] - index.flatten(at, n - at, 0)] = plane[inside]
         return block
 
-    head = index.flatten(len(box) - 1, n + 1 - len(box), 0) if full else 0
-    runs = itertools.chain([np.broadcast_to(0.0, head)], map(run, range(len(box) - 1, -1, -1)))
+    head = index.flatten(at_n - 1, n + 1 - at_n, 0) if full else 0
+    runs = itertools.chain([np.broadcast_to(0.0, head)], map(run, range(at_n - 1, -1, -1), planes))
     buf, rest = np.empty(max(_CHUNK, 128)), np.empty(0)
 
     def take(k: int) -> np.ndarray:
@@ -258,7 +409,7 @@ def _normaliser(box: np.ndarray, index: ThetaIndex) -> float:
             buf[got : got + step], rest, got = rest[:step], rest[step:], got + step
         return buf[:k]
 
-    return _tree_sum(take, index.size if full else np.count_nonzero(box))
+    return _tree_sum(take, index.size if full else support)
 
 
 def _int_halves(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,54 +440,47 @@ def _crossing(
 def posterior(x: ExperimentData, level: float) -> PosteriorTable:
     """Posterior masses proportional to the likelihood, down to the level's boundary.
 
-    Partition keeps the 4k largest values, k the fewest that can reach the level;
-    the top k are sorted first, the rest only if those fall short, and the kept
-    block grows fourfold until its mass reaches the level.
+    The top values come from the scan's ``kept`` buffer: the k largest, k the fewest
+    that can reach the level, are partitioned out and sorted first, then 4k, 16k
+    and so on.  The box is filled again only if the level lies past the buffer
+    (keeping four times as many) or the boundary cut lies at or below its floor.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0,1), got {level}")
-    box = _cached_grid(x)
-    index, flat = theta_index(x.n), box.reshape(-1)
-    starts = range(0, flat.size, _CHUNK)
-    total = _normaliser(box, index)
+    scan = _scan(x)
+    total, kept = scan.total, scan.kept
+    exact_total = scan.exact_total if scan.top < EXACT_FLOAT_LIMIT else None  # read now, as ties are
     assert total > 0.0, "saturated theta always has positive likelihood"
-    exact_total, peak = None, box.max()
-    if peak < EXACT_FLOAT_LIMIT:  # every value is its exact count
-        halves = (_int_halves(flat[s : s + _CHUNK]) for s in starts)
-        exact_total = sum((int(high.sum()) << 26) + int(low.sum()) for high, low in halves)
-    size = math.ceil(level / (peak / total))  # no fewer entries reach the level
-    while True:  # kept[kept.size - held:] holds the size largest positive values, or more
-        size, held, floor, kept = 4 * size, 0, 0.0, np.empty(4 * size + _CHUNK)  # 4x the first block
-        for part in (flat[s : s + _CHUNK] for s in starts):
-            picked = part[part > floor]
-            if held + picked.size > kept.size:  # keep only the size largest; floor: their minimum
-                kept[kept.size - held :].partition(held - size)
-                held, floor = size, kept[kept.size - size]
-            kept[kept.size - held - picked.size : kept.size - held] = picked
-            held += picked.size
-        kept = kept[kept.size - held :]
-        kept.partition([max(held - size, 0), max(held - size // 4, 0)])
-        for block in (size // 4, size):  # the whole kept block only if its top quarter falls short
-            kept[-block:].sort()
-            top = kept[-block:][::-1]
+    first = math.ceil(level / (scan.top / total))  # no fewer entries reach the level
+    while True:
+        values, block = kept.arrays()[0], first
+        while True:  # the crossing among the block largest values, sorted descending
+            top = values if block >= values.size else np.partition(values, values.size - block)[-block:]
+            top = np.sort(top)[::-1]
             crossing = _crossing(top, top / total, level, exact_total)
-            if crossing < top.size:
+            if crossing < top.size or block >= values.size:
                 break
-        if crossing < top.size or held < size:  # fewer held: every positive value
+            block *= 4
+        if crossing < top.size or kept.floor == 0.0:  # reached, or every positive value is held
             break
+        kept = _refill(x, _Kept(4 * kept.cap))
     v = top[min(crossing, top.size - 1)] / total
-    del kept, top
+    del top
     # Every entry of mass v or more, kept or not (a value just below the block
     # may round to mass v), has a value of at least v * total / (1 + u),
     # u = 2**-53; the cut, 8u below v * total, stays below that after its own
-    # two roundings.  Canonical order is box C order reversed, so ties keep it
-    # through a stable ascending sort, reversed.
-    near = _at_least(flat, v * total * (1.0 - 2.0**-50))
-    near = near[flat[near] / total >= v]
-    near = near[np.argsort(flat[near], kind="stable")[::-1]].astype(np.uint32)  # < 2**32 cells
-    value = flat[near]
-    at, near = np.divmod(near, box.shape[1] * box.shape[2])
-    co, de = np.divmod(near, box.shape[2])
+    # two roundings.
+    cut = v * total * (1.0 - 2.0**-50)
+    if cut <= kept.floor:  # some of those entries may have left the buffer
+        kept = _refill(x, _Kept(math.inf, float(np.nextafter(cut, 0.0))))
+    values, positions = kept.arrays()
+    near = np.flatnonzero(values >= cut)
+    near = near[values[near] / total >= v]
+    # canonical order is box C order reversed: descending values, then positions
+    near = near[np.lexsort((positions[near], values[near]))[::-1]]
+    value, near = values[near], positions[near]
+    at, near = np.divmod(near, scan.shape[1] * scan.shape[2])
+    co, de = np.divmod(near, scan.shape[2])
     return PosteriorTable(x, level, at, co, de, value / total, value, exact_total)
 
 

@@ -332,14 +332,13 @@ def assignment_count_grid(
     width = i0 + 1 + pad * c1  # cells a slab row adds onto: its d_i run, or padded, its box row
     s_at, s_co, s_de = box.strides
     view = lambda base, off, shape, strides: np.ndarray(shape, buffer=base, offset=off, strides=strides)
-    a_step, c_step = s_at - s_co, s_at - (1 - pad) * s_de
-
-    def slabs(k0: int, k1: int, p0: int, p1: int, r0: int, r1: int) -> np.ndarray:
-        """box[a_i + a_c - lo, i1 - a_i + c_c, w + (1 - pad)(c1 - a_c)] by (a_i, a_c, c_c, w)
-        for a_i in [k0, k1), a_c in [p0, p1) and c_c in [r0, r1), all rows in the window."""
-        off = (k0 + p0 - lo) * s_at + (i1 - k0 + r0) * s_co + (1 - pad) * (c1 - p0) * s_de
-        return view(box, off, (k1 - k0, p1 - p0, r1 - r0, width), (a_step, c_step, s_co, s_de))
-
+    whole = hi - lo == at_n
+    if whole:  # slabs[a_i, a_c, c_c, w] is box[a_i + a_c, i1 - a_i + c_c, w + (1 - pad)(c1 - a_c)]
+        slabs = view(box, i1 * s_co + (1 - pad) * c1 * s_de, (i1 + 1, c1 + 1, c0 + 1, width),
+                     (s_at - s_co, s_at - (1 - pad) * s_de, s_co, s_de))
+    else:  # slabs[a_i, j, c_c, w] is that cell at the window row j = a_i + a_c - lo, for any a_c
+        slabs = view(box, i1 * s_co + (1 - pad) * (c1 - lo) * s_de, (i1 + 1, hi - lo, c0 + 1, width),
+                     ((1 - pad) * s_de - s_co, s_at - (1 - pad) * s_de, s_co, s_de))
     # Each factor runs along diagonals of the table (one step down and right is
     # `dr`), so it is a strided view; de_part is copied, nt per c_c block, head per block.
     # term = ((C(at, a_i) C(co, i1-a_i)) C(de, d_i)) C(nt, i0-d_i); order fixes bits
@@ -366,14 +365,13 @@ def assignment_count_grid(
             part = term[: k1 - k0, : p1 - p0, : r1 - r0]
             np.multiply(head[..., None], de_part[p0:p1, None], out=part)
             part *= (nt[p0:p1] if pad else nt)[..., r0 - b0 : r1 - b0, :]
-            if lo <= k0 + p0 and k1 + p1 <= hi + 1:  # each a_i adds products of every a_c
-                for slab, products in zip(slabs(k0, k1, p0, p1, r0, r1), part):
+            if whole:
+                for slab, products in zip(slabs[k0:k1, :, r0:r1], part):
                     slab += products
                 return
             for a_i, products in enumerate(part, k0):  # each a_i adds its a_c in the window
                 q0, q1 = max(p0, lo - a_i), min(p1, hi - a_i)
-                if q0 < q1:
-                    slabs(a_i, a_i + 1, q0, q1, r0, r1)[0] += products[q0 - p0 : q1 - p0]
+                slabs[a_i, a_i + q0 - lo : a_i + q1 - lo, r0:r1] += products[q0 - p0 : q1 - p0]
         # c_c = co - i1 + a_i grows with a_i, so blocks of c_c rows taken in
         # order, each run over ascending a_i, still sum each cell in ascending a_i.
         try:
@@ -405,7 +403,7 @@ def assignment_count_grid(
             np.setbufsize(bufsize)
 
     pairs = (i1 + 1) * (c1 + 1)  # (a_i, a_c) whose row a_i + a_c lies in the window
-    if hi - lo < at_n:
+    if not whole:
         pairs = sum(min(c1 + 1, hi - a) - max(0, lo - a) for a in range(first, min(i1 + 1, hi)))
     work = pairs * (i0 + 1) * (c0 + 1)  # arm compositions
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

@@ -31,7 +31,6 @@ from .frechet import (
 from .inference import (
     CredibleSummary,
     MleResult,
-    _cached_grid,
     mle,
     monotonicity_mle,
     posterior,
@@ -94,13 +93,10 @@ def analyze(
     marginals = estimate_marginals(x, design)
     fs = frechet_set(marginals)
     note(f"grid search over {x.n}-subject parameter space")
-    try:  # the three share one box, released once they return or raise
-        mle_result = mle(x, design)
-        mono = monotonicity_mle(x, design)
-        note("posterior and smallest credible set")
-        credible = smallest_credible_set(posterior(x, request.credible_level))
-    finally:
-        _cached_grid.cache_clear()
+    mle_result = mle(x, design)
+    mono = monotonicity_mle(x, design)
+    note("posterior and smallest credible set")
+    credible = smallest_credible_set(posterior(x, request.credible_level))
     note("profile across the estimated Fréchet set")
     rows = frechet_profile(fs, x, design)
     flags = profile_level_flags(rows, request.credible_level)

@@ -210,21 +210,31 @@ def test_organ_donation_inference():
 
 
 def test_analyze_releases_its_box_when_it_returns_and_when_it_raises(monkeypatch):
-    # a box left cached holds 71 MB on the smoking table, 2.01 GB at the guard
+    # analyze fills the box window by window into one buffer (a box would hold
+    # 71 MB on the smoking table, 2.01 GB at the guard); the scan it leaves cached
+    # keeps no window, whether it returns or raises
     x = ExperimentData(50, 11, 23, 31)
     request = AnalysisRequest(design=CompletelyRandomized(61, 115), data=x)
-    box = weakref.ref(inference._cached_grid(x))  # the box analyze reads
-    analyze(request)
-    assert box() is None
+    buffers, fill = [], inference.assignment_count_grid
+
+    def recorded(x, box, window):
+        buffers.append(weakref.ref(box.base))
+        return fill(x, box, window)
 
     def no_room(x, level):
         raise MemoryError("no room for the posterior")
 
-    box = weakref.ref(inference._cached_grid(x))
-    monkeypatch.setattr(reports, "posterior", no_room)
-    with pytest.raises(MemoryError, match="no room"):
-        analyze(request)
-    assert box() is None
+    monkeypatch.setattr(inference, "assignment_count_grid", recorded)
+    for posterior_stage in (posterior, no_room):
+        monkeypatch.setattr(reports, "posterior", posterior_stage)
+        inference._scan.cache_clear()
+        buffers.clear()
+        try:
+            analyze(request)
+        except MemoryError as failure:
+            assert posterior_stage is no_room and "no room" in str(failure)
+        assert buffers and all(buffer() is None for buffer in buffers)
+    inference._scan.cache_clear()
 
 
 def test_posterior_degenerate_single_theta():
@@ -417,7 +427,24 @@ def test_posterior_streamed_in_small_chunks_is_a_prefix_of_the_full_sort(
     assert_prefix_of_the_full_sort(counts, level)
 
 
-def test_posterior_drops_values_just_below_the_boundary_mass(monkeypatch):
+@pytest.fixture
+def made_up_box(monkeypatch):
+    """Make the scan read the windows of a given box in place of x's fill, with the
+    scan's cache cleared before and after."""
+
+    def use(box):
+        def fill(x, window, rows):
+            window[...] = box[rows[0] : rows[1]]
+            return window
+
+        monkeypatch.setattr(inference, "assignment_count_grid", fill)
+
+    inference._scan.cache_clear()
+    yield use
+    inference._scan.cache_clear()
+
+
+def test_posterior_drops_values_just_below_the_boundary_mass(made_up_box):
     # On this made-up box a value 4u below the boundary value (u = 2**-53)
     # passes the gather's cut, 8u below, but its mass is smaller, so the
     # exact mass test must drop it.
@@ -425,7 +452,7 @@ def test_posterior_drops_values_just_below_the_boundary_mass(monkeypatch):
     at, co, de = np.indices(box.shape)
     box[at + co + de <= SIX.n] = 1.0
     box[0, 0, 0] = 1.0 - 2.0**-51
-    monkeypatch.setattr(inference, "_cached_grid", lambda x: box)
+    made_up_box(box)
     post = posterior(SIX, 0.5)
     assert post.entry_count == np.count_nonzero(box == 1.0)
     assert np.all(post.mass == post.mass[0])
@@ -456,9 +483,9 @@ def test_tree_sum_is_numpys_pairwise_sum(monkeypatch, size, chunk):
 def test_posterior_scratch_stays_small_beside_the_box(counts):
     # The smoking table (n=612) sums positive cells; (100,50,20,130) at n=300
     # sums every canonical position.  Copying every value made 69.5 MB and
-    # 65.6 MB of scratch on them; reading the box in 512 KB slices, 2.4 and 1.7 MB.
+    # 65.6 MB of scratch on them; reading the values the scan kept, 2.3 and 1.9 MB.
     x = ExperimentData(*counts)
-    inference._cached_grid(x)
+    inference._scan(x)
     tracemalloc.start()
     try:
         posterior(x, 0.95)
@@ -480,27 +507,20 @@ def test_boxes_up_to_n_60_are_scanned_in_one_slice():
     ) == 58_621 <= inference._CHUNK
 
 
-def test_the_analysis_box_drops_the_binomial_table_it_was_filled_from():
-    # 3 MB at n = 612, which the posterior's scratch would otherwise sit on top of
-    x = ExperimentData(50, 11, 23, 31)
-    inference._cached_grid.cache_clear()
-    table = weakref.ref(choose_table(x.n))
-    inference._cached_grid(x)
-    assert table() is None
-
-
 def test_analyze_stages_keep_their_scratch_small_on_the_published_table(monkeypatch):
-    # Each stage's traced peak above what it began with: the fill on two bands,
-    # beyond the 71 MB box it returns (3 MB of that is the n = 612 binomial table,
-    # built afresh), mle + monotonicity_mle on that box, then the posterior and
-    # its credible set.  About 3.9, 0.1 and 2.6 MB: the fill's 0.9 MB beside the
-    # table is two bands' 228 KB padded blocks, head and nt rows, and no ufunc buffers.
+    # Each stage's traced peak above what it began with: the scan on two bands,
+    # which fills the box in windows, mle + monotonicity_mle on the scan, then the
+    # posterior and its credible set.  About 15.7, 0.1 and 2.6 MB: the scan's is
+    # the 3 MB binomial table (built afresh), its 3.7 MB window of five planes, the
+    # kept values while they are cut back (up to 2**18 + 2**16 values with 32-bit
+    # positions, the partition's 64-bit order and its gathers) and the 0.5 MB of
+    # planes de = 0 and co = 0.  The box would be 71 MB.
     x, design = ExperimentData(69, 237, 26, 280), CompletelyRandomized(306, 612)
     monkeypatch.setattr(likelihood.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    inference._cached_grid.cache_clear()
+    inference._scan.cache_clear()
     choose_table.cache_clear()
     stages = [
-        (4_500_000, lambda: inference._cached_grid(x).nbytes),
+        (17_000_000, lambda: inference._scan(x) and 0),
         (1_000_000, lambda: (mle(x, design), monotonicity_mle(x, design)) and 0),
         (3_000_000, lambda: smallest_credible_set(posterior(x, 0.95)) and 0),
     ]
@@ -511,6 +531,11 @@ def test_analyze_stages_keep_their_scratch_small_on_the_published_table(monkeypa
             tracemalloc.reset_peak()
             kept = stage()
             assert tracemalloc.get_traced_memory()[1] - begin - kept < bound
+        inference._scan.cache_clear()
+        choose_table.cache_clear()
+        tracemalloc.reset_peak()
+        mle(x, design), monotonicity_mle(x, design), posterior(x, 0.95)
+        assert tracemalloc.get_traced_memory()[1] < 20_000_000  # the three, from nothing
     finally:
         tracemalloc.stop()
 
@@ -606,7 +631,6 @@ def test_posterior_sorts_its_kept_block_only_when_the_first_falls_short(
 
     monkeypatch.setattr(inference, "_crossing", counted)
     post = posterior(ExperimentData(*counts), 0.95)
-    inference._cached_grid.cache_clear()  # (0, 0, 306, 306)'s box is 231 MB
     first = math.ceil(0.95 / post.mass[0])
     assert sorted_sizes == [first, 4 * first][:blocks]
 
@@ -672,6 +696,7 @@ def test_unconfirmed_fallback_keeps_only_the_bit_equal_maxima(monkeypatch):
     monkeypatch.setattr(inference, "EXACT_TIE_CAP", 1)
     monkeypatch.setattr(inference, "EXACT_FLOAT_LIMIT", 0.0)
     monkeypatch.setattr(inference, "GRID_TIE_BOUND", 1.0 - math.exp(-5.0))
+    inference._scan.cache_clear()  # the scan keeps the suspects of the bound it was read at
     for result, maximizers in zip((mle(x, design), monotonicity_mle(x, design)), want):
         assert result.maximizers == maximizers
         assert not result.tie_verified_exact
