@@ -209,7 +209,8 @@ class _Kept:
     """
 
     def __init__(self, cap: float, floor: float = 0.0) -> None:
-        self.cap, self.floor, self.held, self.parts = cap, floor, 0, []
+        self.cap, self.floor, self.held = cap, floor, 0
+        self.parts = [(np.empty(0), np.empty(0, np.uint32))]
 
     def add(self, part: np.ndarray, start: int) -> None:
         picked = np.flatnonzero(part > self.floor)
@@ -223,10 +224,8 @@ class _Kept:
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, positions) of every value held, in no particular order."""
-        if len(self.parts) != 1:
-            self.parts = [tuple(map(np.concatenate, zip(*self.parts)))] if self.parts else [
-                (np.empty(0), np.empty(0, np.uint32))
-            ]
+        if len(self.parts) > 1:
+            self.parts = [tuple(map(np.concatenate, zip(*self.parts)))]
         return self.parts[0]
 
 
@@ -451,21 +450,18 @@ def posterior(x: ExperimentData, level: float) -> PosteriorTable:
     total, kept = scan.total, scan.kept
     exact_total = scan.exact_total if scan.top < EXACT_FLOAT_LIMIT else None  # read now, as ties are
     assert total > 0.0, "saturated theta always has positive likelihood"
-    first = math.ceil(level / (scan.top / total))  # no fewer entries reach the level
-    while True:
-        values, block = kept.arrays()[0], first
-        while True:  # the crossing among the block largest values, sorted descending
-            top = values if block >= values.size else np.partition(values, values.size - block)[-block:]
-            top = np.sort(top)[::-1]
-            crossing = _crossing(top, top / total, level, exact_total)
-            if crossing < top.size or block >= values.size:
-                break
-            block *= 4
-        if crossing < top.size or kept.floor == 0.0:  # reached, or every positive value is held
+    block = math.ceil(level / (scan.top / total))  # no fewer entries reach the level
+    while True:  # the crossing among the block largest values held, sorted descending
+        values = kept.arrays()[0]
+        top = values if block >= values.size else np.partition(values, values.size - block)[-block:]
+        top = np.sort(top)[::-1]
+        crossing = _crossing(top, top / total, level, exact_total)
+        if crossing < top.size or block >= values.size and kept.floor == 0.0:  # or all are held
             break
-        kept = _refill(x, _Kept(4 * kept.cap))
+        if block >= values.size:  # the level lies past the buffer
+            kept = _refill(x, _Kept(4 * kept.cap))
+        block *= 4
     v = top[min(crossing, top.size - 1)] / total
-    del top
     # Every entry of mass v or more, kept or not (a value just below the block
     # may round to mass v), has a value of at least v * total / (1 + u),
     # u = 2**-53; the cut, 8u below v * total, stays below that after its own

@@ -42,17 +42,20 @@ from .combinatorics import LOG_ZERO, choose_table, log_binomial
 # C(20, 10) = 184,756 subsets per call.
 ORACLE_MAX_N = 20
 
-# The grid scan allocates its support box, (i1+c1+1)(i1+c0+1)(i0+c1+1) float64
-# cells: 8.87M (71 MB) on the n=612 smoking table, where the canonical grid has
-# C(n+3, 3) = 38.6M (309 MB).  All-takeup tables (n/2, 0, n/2, 0) give the
-# largest box, about n**3/4 cells = 1.5 C(n+3, 3): 57.8M (0.46 GB) at n=612 and
-# 251M (2.01 GB) at the cap below (canonical: 1.34 GB).  The cap also keeps sums
-# in float64 range: each entry is at most C(n, n//2), so the grid sum is at most
-# C(n+3, 3) * C(n, n//2), 10^307.66 at n=1000; the bound first exceeds the
-# float64 maximum (10^308.25) at n=1002.  Scratch beside the box is small: per
-# fill band a ``term`` block of about 256 KB (228 KB of padded box rows at n=612)
-# and ``head`` for one block of rows (60 KB); later passes read 512 KB slices, and
-# the posterior holds 2.6 MB at most.
+# The support box has (i1+c1+1)(i1+c0+1)(i0+c1+1) float64 cells: 8.87M (71 MB) on
+# the n=612 smoking table, where the canonical grid has C(n+3, 3) = 38.6M (309 MB).
+# All-takeup tables (n/2, 0, n/2, 0) give the largest box, about n**3/4 cells =
+# 1.5 C(n+3, 3): 57.8M (0.46 GB) at n=612 and 251M (2.01 GB) at the cap below.  An
+# analysis never holds it: it fills a window of at-planes at a time into one
+# 4 MB buffer (``inference._scan``), so its memory is that window, the binomial
+# table ((n+1)**2 cells, 3 MB at n=612 and 8 MB at n=1000) and the scan's
+# bounded buffers.  Only a caller that asks for a whole box (a batch, the
+# heatmap, a test) allocates one.  The cap keeps sums in float64 range: each
+# entry is at most C(n, n//2), so the grid sum is at most C(n+3, 3) * C(n, n//2),
+# 10^307.66 at n=1000; the bound first exceeds the float64 maximum (10^308.25)
+# at n=1002.  Scratch beside the box or window is small: per fill band a
+# ``term`` block of about 256 KB (228 KB of padded box rows at n=612) and its
+# ``head`` products.
 GRID_MAX_N = 1000
 
 # Relative gap within which two box cells may hold equal exact counts, for any

@@ -135,11 +135,16 @@ def design_to_dict(design: Design) -> dict:
 
 
 def design_from_dict(d: dict) -> Design:
+    """The design that ``design_to_dict`` wrote; an unknown type or field raises ValueError."""
+    names = {"completely_randomized": ("type", "m", "n"), "bernoulli": ("type", "p")}.get(d["type"])
+    if names is None:
+        raise ValueError(f"unknown design type {d.get('type')!r}")
+    unknown = [key for key in d if key not in names]
+    if unknown:
+        raise ValueError(f"unknown {d['type']} design field {unknown[0]!r}")
     if d["type"] == "completely_randomized":
         return CompletelyRandomized(m=d["m"], n=d["n"])
-    if d["type"] == "bernoulli":
-        return Bernoulli(p=d["p"])
-    raise ValueError(f"unknown design type {d.get('type')!r}")
+    return Bernoulli(p=d["p"])
 
 
 def _plain(value):

@@ -99,6 +99,22 @@ def test_analyze_missing_field(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "design,field",
+    [
+        ({"type": "completely_randomized", "m": 3, "mm": 3}, "'mm'"),
+        ({"type": "bernoulli", "p": 0.5, "m": 3}, "'m'"),
+    ],
+)
+def test_analyze_unknown_design_field(tmp_path, capsys, design, field):
+    # a misspelt field is an error, not a default silently taken
+    doc = {"design": design, "counts": {"i1": 2, "i0": 1, "c1": 1, "c0": 2}}
+    path = write_input(tmp_path, doc)
+    code, _, err = run(capsys, "analyze", "--input", path, "--quiet")
+    assert code == 2
+    assert err == f"error: {path}: bad field: unknown {design['type']} design field {field}\n"
+
+
 def test_analyze_empty_arm(tmp_path, capsys):
     doc = {
         "design": {"type": "completely_randomized", "m": 0},

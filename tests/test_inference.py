@@ -495,6 +495,24 @@ def test_posterior_scratch_stays_small_beside_the_box(counts):
     assert peak <= 3_000_000
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [(69, 237, 26, 280), (80, 226, 26, 280), (50, 11, 23, 31), (300, 0, 300, 0), (200, 5, 180, 3),
+     (4, 3, 2, 5), (2, 1, 1, 2), (0, 0, 7, 5), (6, 9, 0, 0), (0, 20, 0, 20)],
+)
+def test_support_size_counts_the_positive_cells(counts):
+    # the normaliser's size above FULL_TABLE_MAX_N, from index_set's bounds alone
+    x = ExperimentData(*counts)
+    assert inference._support_size(x) == np.count_nonzero(assignment_count_grid(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=tables())
+def test_support_size_counts_the_positive_cells_of_random_tables(counts):
+    x = ExperimentData(*counts)
+    assert inference._support_size(x) == np.count_nonzero(assignment_count_grid(x))
+
+
 def test_boxes_up_to_n_60_are_scanned_in_one_slice():
     # the heatmap and the Bayes pass scan thousands of these boxes, each with one
     # comparison and no concatenation
@@ -633,6 +651,77 @@ def test_posterior_sorts_its_kept_block_only_when_the_first_falls_short(
     post = posterior(ExperimentData(*counts), 0.95)
     first = math.ceil(0.95 / post.mass[0])
     assert sorted_sizes == [first, 4 * first][:blocks]
+
+
+def test_posterior_fills_the_box_again_only_past_its_buffer(monkeypatch):
+    # (60, 246, 31, 275) needs 83,354 entries, 4.02 times level / top mass, so the
+    # earlier posterior took a second pass over its box; the scan keeps every one of
+    # them.  With a buffer of 2**15 values the level lies past it, and one more fill
+    # keeping four times as many gives the same table.
+    x = ExperimentData(60, 246, 31, 275)
+    refills, refill = [], inference._refill
+    monkeypatch.setattr(inference, "_refill", lambda x, kept: refills.append(kept.cap) or refill(x, kept))
+    inference._scan.cache_clear()
+    want = posterior(x, 0.95)
+    assert want.entry_count == 83_354 and not refills
+    monkeypatch.setattr(inference, "_KEPT_CELLS", 1 << 15)
+    inference._scan.cache_clear()
+    got = posterior(x, 0.95)
+    inference._scan.cache_clear()
+    assert refills == [1 << 17]
+    for name in ("at", "co", "de", "mass", "value"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert smallest_credible_set(got) == smallest_credible_set(want)
+
+
+def kept_floor_box():
+    """A made-up SIX box whose first 8 cells hold 10000, 9000 twice, 8000, 7000 and
+    6000, and whose next 8 hold 9005."""
+    box = np.zeros(assignment_count_grid(SIX).shape)
+    assert box.shape == (4, 5, 3)  # its at = 0 plane, cells 0 to 14, holds only vectors of SIX
+    box.reshape(-1)[[0, 1, 2, 3, 4, 5, 8]] = [10000, 9000, 9000, 8000, 7000, 6000, 9005]
+    return box
+
+
+def test_posterior_fills_again_for_boundary_entries_at_its_floor(monkeypatch, made_up_box):
+    # With room for two values the buffer keeps 10000 and one 9000 and sets its floor
+    # at 9000; 9005 comes later and is held.  At a level that 10000, 9005 and 9000
+    # reach (of 58005) the boundary value is 9000, at the floor, so the other 9000,
+    # which left the buffer, is fetched by a further fill.
+    monkeypatch.setattr(inference, "_CHUNK", 8)
+    monkeypatch.setattr(inference, "_KEPT_CELLS", 2)
+    made_up_box(kept_floor_box())
+    post = posterior(SIX, 0.45)
+    assert (10000 + 9005) / 58005 < 0.45 < (10000 + 9005 + 9000) / 58005
+    assert inference._scan(SIX).kept.floor == 9000.0
+    assert post.value.tolist() == [10000, 9005, 9000, 9000]
+
+
+def test_scan_drops_suspects_of_a_lower_top_as_the_top_rises(monkeypatch, made_up_box):
+    # The scan reads one plane of this made-up SIX box at a time, at = 3 first, so
+    # 5 is its top until 10 comes at at = 0.  Only 10 may stay a suspect: with the
+    # limit at 0 and a cap of one recount, two suspects would be left unconfirmed.
+    box = np.zeros(assignment_count_grid(SIX).shape)
+    box[3, 0, 0], box[0, 4, 2] = 5.0, 10.0
+    monkeypatch.setattr(inference, "_WINDOW_CELLS", box[0].size)
+    monkeypatch.setattr(inference, "EXACT_FLOAT_LIMIT", 0.0)
+    monkeypatch.setattr(inference, "EXACT_TIE_CAP", 1)
+    made_up_box(box)
+    result = mle(SIX, CR6)
+    assert result.maximizers == (Theta(0, 4, 2, 0),) and result.tie_verified_exact
+    assert inference._scan(SIX).hits.tolist() == [4 * 3 + 2]
+
+
+def test_posterior_keeps_a_value_just_above_its_floor(monkeypatch, made_up_box):
+    # 9005 lies 0.06% above the floor of 9000: it must be held, so that a level that
+    # 10000 and 9005 reach ends the table there with no further fill
+    monkeypatch.setattr(inference, "_CHUNK", 8)
+    monkeypatch.setattr(inference, "_KEPT_CELLS", 2)
+    monkeypatch.setattr(inference, "_refill", None)
+    made_up_box(kept_floor_box())
+    post = posterior(SIX, 0.3)
+    assert 10000 / 58005 < 0.3 < (10000 + 9005) / 58005
+    assert post.value.tolist() == [10000, 9005]
 
 
 def test_posterior_grows_its_block_to_the_exact_crossing():
@@ -786,6 +875,23 @@ def test_boundary_blocks_stop_once_the_level_is_reached(monkeypatch):
     assert summary.member_count == 27
     assert summary.boundary_verified_exact
     assert summary.achieved_mass == float(np.cumsum(post.mass)[26])
+
+
+def test_credible_ranges_leave_out_the_boundary_entries_left_out(monkeypatch):
+    # Only the larger-count block of the boundary float-tie run (entries 26 and 27)
+    # enters the set; entry 26, left out and moved here to co = 3, past every
+    # member's co, must not widen the ranges.
+    x = ExperimentData(0, 3, 2, 2)
+    post = posterior(x, 0.95)
+    co = post.co.copy()
+    co[26] = 3
+    post = dataclasses.replace(post, co=co, exact_total=None)
+    monkeypatch.setattr(inference, "EXACT_FLOAT_LIMIT", 0.0)
+    monkeypatch.setattr(inference, "exact_assignment_count", lambda theta, x: 1 if theta.co == 3 else 2)
+    summary = smallest_credible_set(post)
+    assert summary.member_count == 27 and summary.boundary_verified_exact
+    assert summary.co_range == (0, 2)
+    assert summary.nt_range == (0, 5)
 
 
 @settings(max_examples=200, deadline=None)
