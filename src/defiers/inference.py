@@ -25,6 +25,7 @@ as the decimal it prints as: ``Fraction(repr(0.95))`` is 19/20 (``_crossing``).
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import itertools
 import math
@@ -120,15 +121,14 @@ def _at_least(flat: np.ndarray, cut: float) -> np.ndarray:
 def _plane_suspects(
     no_de: np.ndarray, no_co: np.ndarray, shape: tuple[int, int, int]
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """``_suspects`` of the monotone maximum, from a box's planes de = 0 (``no_de``, by
-    (at, co)) and co = 0 (``no_co``, by (at, de)), which hold the corner (at, 0, 0) once."""
+    """``_suspects`` of the monotone maximum, from a box's plane de = 0 (``no_de``, flat
+    by (at, co)) and plane co = 0 without its corner (``no_co``, by (at, de > 0))."""
     _, co_n, de_n = shape
-    no_co = no_co[:, 1:]
     top = max(no_de.max(), no_co.max(initial=0.0))
     cut = top * (1.0 - GRID_TIE_BOUND)
-    (at, co), (at_c, de) = (no_de >= cut).nonzero(), (no_co >= cut).nonzero()
-    hits = np.concatenate(((at * co_n + co) * de_n, at_c * co_n * de_n + de + 1))
-    return top, hits, np.concatenate((no_de[at, co], no_co[at_c, de]))
+    (at, de), (plane,) = (no_co >= cut).nonzero(), (no_de >= cut).nonzero()
+    hits = np.concatenate((plane * de_n, at * co_n * de_n + de + 1))
+    return top, hits, np.concatenate((no_de[plane], no_co[at, de]))
 
 
 def _suspects(box, monotone: bool | None) -> tuple[float, np.ndarray, np.ndarray]:
@@ -137,9 +137,9 @@ def _suspects(box, monotone: bool | None) -> tuple[float, np.ndarray, np.ndarray
     of it, as positions in the box's C order and their values."""
     if isinstance(box, _Scan):
         return box.suspects(monotone)
-    if monotone:
-        return _plane_suspects(box[:, :, 0], box[:, 0], box.shape)
     raveled = box.reshape(-1)
+    if monotone:
+        return _plane_suspects(raveled[:: box.shape[2]], box[:, 0, 1:], box.shape)
     top = raveled.max()
     hits = _at_least(raveled, top * (1.0 - GRID_TIE_BOUND))
     return top, hits, raveled[hits]
@@ -160,7 +160,12 @@ def _argmax_ties(
     restricts the search to vectors with no defiers or no compliers; it is passed
     positionally, None when unrestricted, as perfbench's tracer reads it.
     """
-    tops, hits, values = zip(*(_suspects(box, monotone) for box in boxes))
+    tops, hits, values = [], [], []
+    for box in boxes:
+        top, hit, value = _suspects(box, monotone)
+        tops.append(top)
+        hits.append(hit)
+        values.append(value)
     if min(tops) <= 0.0:
         raise AssertionError("likelihood is zero everywhere; data inconsistent")
     owner = np.repeat(np.arange(len(hits)), [h.size for h in hits])
@@ -259,8 +264,7 @@ class _Scan:
         self.hits, self.values = np.empty(0, np.int64), np.empty(0)
         planes = self._read(itertools.chain([first], windows))
         self.total = _normaliser(planes, self.shape, _support_size(x), theta_index(x.n))
-        for _ in planes:  # the windows past the normaliser's last positive cell
-            pass
+        collections.deque(planes, maxlen=0)  # reads any window past the normaliser's last value
         self.kept.arrays()
 
     def _read(self, windows: Iterator[tuple[int, np.ndarray]]) -> Iterator[np.ndarray]:
@@ -289,7 +293,7 @@ class _Scan:
 
     def suspects(self, monotone: bool | None) -> tuple[float, np.ndarray, np.ndarray]:
         if monotone:
-            return _plane_suspects(self.no_de, self.no_co, self.shape)
+            return _plane_suspects(self.no_de.reshape(-1), self.no_co[:, 1:], self.shape)
         return self.top, self.hits, self.values
 
 

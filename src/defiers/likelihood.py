@@ -343,7 +343,8 @@ def assignment_count_grid(
         slabs = view(box, i1 * s_co + (1 - pad) * (c1 - lo) * s_de, (i1 + 1, hi - lo, c0 + 1, width),
                      ((1 - pad) * s_de - s_co, s_at - (1 - pad) * s_de, s_co, s_de))
     # Each factor runs along diagonals of the table (one step down and right is
-    # `dr`), so it is a strided view; de_part is copied, nt per c_c block, head per block.
+    # `dr`), so it is a strided view; de_part is copied, nt and head per block of c_c rows
+    # (head, the first two factors, for a group of a_i, of at most a block's cells).
     # term = ((C(at, a_i) C(co, i1-a_i)) C(de, d_i)) C(nt, i0-d_i); order fixes bits
     down, dr, cell = table.strides[0], sum(table.strides), table.itemsize
     # C(a_i + a_c, a_i) by (a_i, a_c, 1); C(i1 - a_i + c_c, i1 - a_i) by (a_i, 1, c_c)
@@ -360,13 +361,14 @@ def assignment_count_grid(
     if span < c1 + 1:  # a run's a_c, each a_i's span shifted by one per a_i, stay in 2 spans
         run = min(run, span)
     first = max(0, lo - c1)  # a_i from here to hi - 1 reach the window
+    group = run * max(1, _BLOCK_CELLS // (run * (c1 + 1) * rows))  # a_i per head, a block at most
 
     def band(e0: int, e1: int) -> None:  # adds every product onto the columns e0 <= co < e1
         def add(k0: int, k1: int, r0: int, r1: int) -> None:  # a_i in [k0, k1), c_c in [r0, r1)
             p0, p1 = max(0, lo - k1 + 1), min(c1 + 1, hi - k0)  # their a_c
-            head = at_part[k0:k1, p0:p1] * co_part[k0:k1, :, r0:r1]
             part = term[: k1 - k0, : p1 - p0, : r1 - r0]
-            np.multiply(head[..., None], de_part[p0:p1, None], out=part)
+            factors = head[k0 - g0 : k1 - g0, p0 - h0 : p1 - h0, r0 - b0 : r1 - b0, None]
+            np.multiply(factors, de_part[p0:p1, None], out=part)
             part *= (nt[p0:p1] if pad else nt)[..., r0 - b0 : r1 - b0, :]
             if whole:
                 for slab, products in zip(slabs[k0:k1, :, r0:r1], part):
@@ -390,6 +392,10 @@ def assignment_count_grid(
             term = np.empty((run, min(c1 + 1, span + run - 1), rows, width))
             for b0, k0 in product(range(0, c0 + 1, rows), range(first, min(i1 + 1, hi), run)):
                 b1, k1 = min(b0 + rows, c0 + 1), min(k0 + run, i1 + 1, hi)
+                if (k0 - first) % group == 0:  # the next a_i: head over the a_c they read
+                    g0, g1 = k0, min(k0 + group, i1 + 1, hi)
+                    h0, h1 = max(0, lo - g1 + 1), min(c1 + 1, hi - g0)
+                    head = at_part[g0:g1, h0:h1] * co_part[g0:g1, :, b0:b1]
                 if k0 == first:  # a new block of c_c rows: the nt_part rows it reads
                     nt = nt_part[b0:b1].copy()
                     if pad:
@@ -409,8 +415,10 @@ def assignment_count_grid(
     if not whole:
         pairs = sum(min(c1 + 1, hi - a) - max(0, lo - a) for a in range(first, min(i1 + 1, hi)))
     work = pairs * (i0 + 1) * (c0 + 1)  # arm compositions
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    bands = min(cpus, work // _BAND_WORK)  # _band_edges would add 9% to an n=50 fill
+    bands = work // _BAND_WORK  # _band_edges would add 9% to an n=50 fill
+    if bands > 1:  # one per usable CPU at most
+        affinity = getattr(os, "sched_getaffinity", None)
+        bands = min(bands, len(affinity(0)) if affinity else os.cpu_count() or 1)
     edges, failures = _band_edges(i1, c0, bands) if bands > 1 else [0, i1 + c0 + 1], {}
     threads = [threading.Thread(target=band, args=edge) for edge in zip(edges[1:-1], edges[2:])]
     for thread in threads:
