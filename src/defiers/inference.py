@@ -56,7 +56,7 @@ from .likelihood import (
 # can differ in the last bit; keeping both keeps reported masses bit-identical.
 FULL_TABLE_MAX_N = 300
 
-# Values read at once from a box or window, or from the normaliser's order.
+# Values read at once from a window, or from the normaliser's order.
 _CHUNK = 1 << 16  # 512 KB of float64
 
 # Cells of the window of at-planes ``_scan`` fills at a time, whole planes at
@@ -110,14 +110,6 @@ def _exact_counts(values: np.ndarray, cells: tuple, x: ExperimentData) -> np.nda
     return np.array(counts, dtype=object)
 
 
-def _at_least(flat: np.ndarray, cut: float) -> np.ndarray:
-    """Positions of the values of ``flat`` at or above ``cut``, read in ``_CHUNK`` slices."""
-    if flat.size <= _CHUNK:  # every box of n <= 60: one scan, no concatenate
-        return (flat >= cut).nonzero()[0]
-    starts = range(0, flat.size, _CHUNK)
-    return np.concatenate([np.flatnonzero(flat[s : s + _CHUNK] >= cut) + s for s in starts])
-
-
 def _plane_suspects(
     no_de: np.ndarray, no_co: np.ndarray, shape: tuple[int, int, int]
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -141,7 +133,7 @@ def _suspects(box, monotone: bool | None) -> tuple[float, np.ndarray, np.ndarray
     if monotone:
         return _plane_suspects(raveled[:: box.shape[2]], box[:, 0, 1:], box.shape)
     top = raveled.max()
-    hits = _at_least(raveled, top * (1.0 - GRID_TIE_BOUND))
+    hits = (raveled >= top * (1.0 - GRID_TIE_BOUND)).nonzero()[0]
     return top, hits, raveled[hits]
 
 
