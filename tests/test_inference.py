@@ -528,7 +528,7 @@ def test_boxes_up_to_n_60_are_scanned_in_one_slice():
 def test_analyze_stages_keep_their_scratch_small_on_the_published_table(monkeypatch):
     # Each stage's traced peak above what it began with: the scan on two bands,
     # which fills the box in windows, mle + monotonicity_mle on the scan, then the
-    # posterior and its credible set.  About 15.7, 0.1 and 2.6 MB: the scan's is
+    # posterior and its credible set.  About 15.7, 0.1 and 2.9 MB: the scan's is
     # the 3 MB binomial table (built afresh), its 3.7 MB window of five planes, the
     # kept values while they are cut back (up to 2**18 + 2**16 values with 32-bit
     # positions, the partition's 64-bit order and its gathers) and the 0.5 MB of
