@@ -56,7 +56,7 @@ from .likelihood import (
 # can differ in the last bit; keeping both keeps reported masses bit-identical.
 FULL_TABLE_MAX_N = 300
 
-# Values read at once from a window, or from the normaliser's order.
+# Values read at once from a box or window, or from the normaliser's order.
 _CHUNK = 1 << 16  # 512 KB of float64
 
 # Cells of the window of at-planes ``_scan`` fills at a time, whole planes at
@@ -111,17 +111,25 @@ def _exact_counts(values: np.ndarray, cells: tuple, x: ExperimentData) -> np.nda
     return np.array(counts, dtype=object)
 
 
+def _at_least(flat: np.ndarray, cut: float) -> np.ndarray:
+    """Positions of the values of ``flat`` at or above ``cut``, read in ``_CHUNK`` slices."""
+    if flat.size <= _CHUNK:  # every box of n <= 60: one scan, no concatenate
+        return (flat >= cut).nonzero()[0]
+    starts = range(0, flat.size, _CHUNK)
+    return np.concatenate([np.flatnonzero(flat[s : s + _CHUNK] >= cut) + s for s in starts])
+
+
 def _plane_suspects(
     no_de: np.ndarray, no_co: np.ndarray, shape: tuple[int, int, int]
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """``_suspects`` of the monotone maximum, from a box's plane de = 0 (``no_de``, flat
-    by (at, co)) and plane co = 0 without its corner (``no_co``, by (at, de > 0))."""
+) -> tuple[float, np.ndarray]:
+    """(top, hits) of ``_suspects`` for the monotone maximum, from a box's plane de = 0
+    (``no_de``, flat by (at, co)) and plane co = 0 without its corner (``no_co``, by
+    (at, de > 0))."""
     _, co_n, de_n = shape
     top = max(no_de.max(), no_co.max(initial=0.0))
     cut = top * (1.0 - GRID_TIE_BOUND)
     (at, de), (plane,) = (no_co >= cut).nonzero(), (no_de >= cut).nonzero()
-    hits = np.concatenate((plane * de_n, at * co_n * de_n + de + 1))
-    return top, hits, np.concatenate((no_de[plane], no_co[at, de]))
+    return top, np.concatenate((plane * de_n, at * co_n * de_n + de + 1))
 
 
 def _suspects(box, monotone: bool | None) -> tuple[float, np.ndarray, np.ndarray]:
@@ -132,9 +140,10 @@ def _suspects(box, monotone: bool | None) -> tuple[float, np.ndarray, np.ndarray
         return box.suspects(monotone)
     raveled = box.reshape(-1)
     if monotone:
-        return _plane_suspects(raveled[:: box.shape[2]], box[:, 0, 1:], box.shape)
-    top = raveled.max()
-    hits = (raveled >= top * (1.0 - GRID_TIE_BOUND)).nonzero()[0]
+        top, hits = _plane_suspects(raveled[:: box.shape[2]], box[:, 0, 1:], box.shape)
+    else:
+        top = raveled.max()
+        hits = _at_least(raveled, top * (1.0 - GRID_TIE_BOUND))
     return top, hits, raveled[hits]
 
 
@@ -285,9 +294,11 @@ class _Scan:
             yield from window[::-1]
 
     def suspects(self, monotone: bool | None) -> tuple[float, np.ndarray, np.ndarray]:
-        if monotone:
-            return _plane_suspects(self.no_de.reshape(-1), self.no_co[:, 1:], self.shape)
-        return self.top, self.hits, self.values
+        if not monotone:
+            return self.top, self.hits, self.values
+        top, hits = _plane_suspects(self.no_de.reshape(-1), self.no_co[:, 1:], self.shape)
+        at, co, de = np.unravel_index(hits, self.shape)
+        return top, hits, np.where(de == 0, self.no_de[at, co], self.no_co[at, de])
 
 
 @functools.lru_cache(maxsize=1)

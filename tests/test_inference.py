@@ -525,20 +525,41 @@ def test_boxes_up_to_n_60_are_scanned_in_one_slice():
     ) == 58_621 <= inference._CHUNK
 
 
+@pytest.mark.parametrize("monotone", [None, True])
+def test_a_box_and_its_scan_give_the_same_suspects(monotone):
+    # (25, 25, 26, 24)'s box holds 135,200 cells, so a batch compares it in
+    # _CHUNK slices rather than in one box-sized mask; the scan reads it in
+    # windows.  Its unrestricted maximum is a two-way tie.
+    x = ExperimentData(25, 25, 26, 24)
+    box = assignment_count_grid(x)
+    assert box.size > inference._CHUNK
+    inference._scan.cache_clear()
+    top, hits, values = inference._suspects(inference._scan(x), monotone)
+    inference._scan.cache_clear()
+    box_top, box_hits, box_values = inference._suspects(box, monotone)
+    assert top == box_top and hits.size == (1 if monotone else 2)
+    assert hits.tolist() == box_hits.tolist() and values.tolist() == box_values.tolist()
+
+
 def test_analyze_stages_keep_their_scratch_small_on_the_published_table(monkeypatch):
-    # Each stage's traced peak above what it began with: the scan on two bands,
-    # which fills the box in windows, mle + monotonicity_mle on the scan, then the
-    # posterior and its credible set.  About 15.7, 0.1 and 2.9 MB: the scan's is
-    # the 3 MB binomial table (built afresh), its 3.7 MB window of five planes, the
-    # kept values while they are cut back (up to 2**18 + 2**16 values with 32-bit
+    # Each stage's traced peak above what it began with: the fill of the whole box
+    # on two bands, beyond the 71 MB box it returns (3 MB of that is the n = 612
+    # binomial table, built afresh), the scan on two bands, which fills the box in
+    # windows from that table, mle + monotonicity_mle on the scan, then the
+    # posterior and its credible set.  About 3.9, 12.7, 0.1 and 2.9 MB: the fill's
+    # 0.9 MB beside the table is two bands' 228 KB padded blocks, head and nt rows,
+    # and no ufunc buffers; the scan's is its 3.7 MB window of five planes, the kept
+    # values while they are cut back (up to 2**18 + 2**16 values with 32-bit
     # positions, the partition's 64-bit order and its gathers) and the 0.5 MB of
-    # planes de = 0 and co = 0.  The box would be 71 MB.
+    # planes de = 0 and co = 0.  The three analysis stages from nothing, the table
+    # included, hold about 15.7 MB.
     x, design = ExperimentData(69, 237, 26, 280), CompletelyRandomized(306, 612)
     monkeypatch.setattr(likelihood.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     inference._scan.cache_clear()
     choose_table.cache_clear()
     stages = [
-        (17_000_000, lambda: inference._scan(x) and 0),
+        (4_500_000, lambda: assignment_count_grid(x).nbytes),
+        (14_000_000, lambda: inference._scan(x) and 0),
         (1_000_000, lambda: (mle(x, design), monotonicity_mle(x, design)) and 0),
         (3_000_000, lambda: smallest_credible_set(posterior(x, 0.95)) and 0),
     ]
