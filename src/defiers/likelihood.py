@@ -336,8 +336,9 @@ def assignment_count_grid(
     s_at, s_co, s_de = box.strides
     # positional: numpy 2.4 parses ndarray's keywords in about 0.8 us, a twentieth of a small fill
     view = lambda base, off, shape, strides: np.ndarray(shape, None, base, off, strides)
-    # A whole box keeps none of a window's bookkeeping: through it, the 6,200 fills of the tables
-    # with arms of 1 to 25 took 24% more CPU (580 against 469 ms, medians of 21, in process).
+    # A whole box keeps none of a window's bookkeeping: through it, the 6,200 fills of the
+    # tables with arms of 1 to 25 took 580 against 469 ms of CPU (medians of 21, in process,
+    # 2-vCPU VM).
     whole = hi - lo == at_n
     if whole:  # slabs[a_i, a_c, c_c, w] is box[a_i + a_c, i1 - a_i + c_c, w + (1 - pad)(c1 - a_c)]
         slabs = view(box, i1 * s_co + (1 - pad) * c1 * s_de, (i1 + 1, c1 + 1, c0 + 1, width),
