@@ -334,7 +334,8 @@ def assignment_count_grid(
     long_runs, pad = i0 + 1 >= _LONG_RUN, _padded(i1, i0, c1, c0)
     width = i0 + 1 + pad * c1  # cells a slab row adds onto: its d_i run, or padded, its box row
     s_at, s_co, s_de = box.strides
-    # positional: numpy 2.4 parses ndarray's keywords in about 0.8 us, a twentieth of a small fill
+    # positional: numpy 2.4 takes about 0.85 us a call to parse ndarray's keywords, and a
+    # fill of (1, 1, 1, 1), 22 us in all, builds five views
     view = lambda base, off, shape, strides: np.ndarray(shape, None, base, off, strides)
     # A whole box keeps none of a window's bookkeeping: through it, the 6,200 fills of the
     # tables with arms of 1 to 25 took 580 against 469 ms of CPU (medians of 21, in process,
