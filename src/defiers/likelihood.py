@@ -21,8 +21,6 @@ Each use of the assignment count has one route:
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -53,9 +51,8 @@ ORACLE_MAX_N = 20
 # heatmap, a test) allocates one.  The cap keeps sums in float64 range: each
 # entry is at most C(n, n//2), so the grid sum is at most C(n+3, 3) * C(n, n//2),
 # 10^307.66 at n=1000; the bound first exceeds the float64 maximum (10^308.25)
-# at n=1002.  Scratch beside the box or window is small: per fill band a
-# ``term`` block of about 256 KB (228 KB of padded box rows at n=612) and its
-# ``head`` products.
+# at n=1002.  Scratch beside the box or window is small: a ``term`` block of
+# about 256 KB (228 KB of padded box rows at n=612) and its ``head`` products.
 GRID_MAX_N = 1000
 
 # Relative gap within which two box cells may hold equal exact counts, for any
@@ -71,7 +68,6 @@ GRID_TIE_BOUND = 2.24e-13
 # Cells of one block of the fill's products (256 KB), so that the block and the
 # box cells it adds onto stay in a 2 MB L2 cache while every a_i passes them.
 _BLOCK_CELLS = 1 << 15
-_BAND_WORK = 1 << 22  # arm compositions per fill band; below two bands, the calling thread fills
 # d_i runs from this length on fill faster under a 16-cell ufunc buffer, shorter
 # ones through numpy's default of 8,192 cells (fills at n = 1000 on a 2-vCPU VM,
 # CPU under 16 cells against the default: 8.7 against 3.8 ms for runs of 8 cells,
@@ -268,15 +264,6 @@ def box_shape(i1, i0, c1, c0):
     return i1 + c1 + 1, i1 + c0 + 1, i0 + c1 + 1
 
 
-def _band_edges(i1: int, c0: int, bands: int) -> list[int]:
-    """Edges 0 = e_0 < ... < e_k = i1 + c0 + 1, k <= bands, of runs of box columns
-    co, each within one column of an even share of the arm compositions."""
-    co = np.arange(i1 + c0 + 1)  # takes the (a_i, c_c) pairs with i1 - a_i + c_c = co
-    through = np.cumsum(np.minimum(i1, i1 + c0 - co) - np.maximum(0, i1 - co) + 1)
-    ends = np.searchsorted(through, np.arange(1, bands + 1) * through[-1] / bands) + 1
-    return [0, *dict.fromkeys(ends.tolist())]  # non-decreasing; np.unique would load numpy.ma
-
-
 def _padded(i1: int, i0: int, c1: int, c0: int) -> bool:
     """Whether the fill adds whole box rows of i0+c1+1 cells, not d_i runs of i0+1: where
     the runs are long and the rows at most a fifth wider.  Against the runs alone, both
@@ -309,10 +296,9 @@ def assignment_count_grid(
     near the n=612 smoking one), they are padded instead: the products cover whole
     box rows, 0 outside each d_i run, so each a_c adds one contiguous (co, de) run.
     The work is O((i1+1)(i0+1)(c1+1)(c0+1)) for the whole box, in blocks of about
-    256 KB of a run of a_i values by c_c rows.  From 2 * ``_BAND_WORK`` compositions
-    in the window up, bands of box columns co, one per usable CPU, fill on their
-    own threads with a block each; a cell lies in one band and sums in ascending
-    a_i at any band count and in any window.
+    256 KB of a run of a_i values by c_c rows, one after another; each cell sums its
+    products in ascending a_i, in the whole box and in any window.  The caller's
+    ufunc buffer size is back in place on return, also when a block raises.
 
     Values are float64; counts are exact wherever they stay below 2**53, and
     suspected ties are confirmed with exact integer sums by callers.
@@ -369,72 +355,46 @@ def assignment_count_grid(
     if not whole:
         first, group = max(0, lo - c1), run * max(1, _BLOCK_CELLS // (run * (c1 + 1) * rows))
 
-    def band(e0: int, e1: int) -> None:  # adds every product onto the columns e0 <= co < e1
-        def add(k0: int, k1: int, r0: int, r1: int) -> None:  # a_i in [k0, k1), c_c in [r0, r1)
+    # c_c = co - i1 + a_i grows with a_i, so blocks of c_c rows taken in
+    # order, each run over ascending a_i, still sum each cell in ascending a_i.
+    if long_runs:  # numpy copies operands whose runs are shorter than its ufunc buffer
+        bufsize = np.setbufsize(16)  # (8,192 cells); long runs it reads in place
+    try:
+        if pad:
+            # nt_rows holds a block's nt_part rows in `slots`, c1 zeros after each and
+            # before the first, so nt[a_c, c_c, w] (shifted by a_c) is 0 where de_part is.
+            # A padded product is (head * 0) * 0 = +0.0, never inf * 0: head, a partial
+            # product of a real term, is at most C(n, n//2).
+            nt_rows = np.zeros(c1 + rows * width)
+            slots = view(nt_rows, c1 * cell, (rows, i0 + 1), (width * cell, cell))
+        term = np.empty((run, min(c1 + 1, span + run - 1), rows, width))
+        for b0, k0 in product(range(0, c0 + 1, rows), range(first, min(i1 + 1, hi), run)):
+            b1, k1 = min(b0 + rows, c0 + 1), min(k0 + run, i1 + 1, hi)
+            if (k0 - first) % group == 0:  # the next a_i: head over the a_c they read
+                g0, g1 = k0, min(k0 + group, i1 + 1, hi)
+                h0, h1 = max(0, lo - g1 + 1), min(c1 + 1, hi - g0)
+                head = at_part[g0:g1, h0:h1] * co_part[g0:g1, :, b0:b1]
+            if k0 == first:  # a new block of c_c rows: the nt_part rows it reads
+                nt = nt_part[b0:b1].copy()
+                if pad:
+                    slots[: b1 - b0] = nt
+                    nt = view(nt_rows, 0, (c1 + 1, b1 - b0, width), (cell, width * cell, cell))
             if whole:  # every a_c of each a_i
-                part = term[: k1 - k0, :, : r1 - r0]
-                np.multiply(head[k0:k1, :, r0 - b0 : r1 - b0, None], de_part[:, None], out=part)
-                part *= nt[..., r0 - b0 : r1 - b0, :]
-                for slab, products in zip(slabs[k0:k1, :, r0:r1], part):
+                part = term[: k1 - k0, :, : b1 - b0]
+                np.multiply(head[k0:k1, ..., None], de_part[:, None], out=part)
+                part *= nt
+                for slab, products in zip(slabs[k0:k1, :, b0:b1], part):
                     slab += products
-                return
+                continue
             p0, p1 = max(0, lo - k1 + 1), min(c1 + 1, hi - k0)  # their a_c
-            part = term[: k1 - k0, : p1 - p0, : r1 - r0]
-            factors = head[k0 - g0 : k1 - g0, p0 - h0 : p1 - h0, r0 - b0 : r1 - b0, None]
+            part = term[: k1 - k0, : p1 - p0, : b1 - b0]
+            factors = head[k0 - g0 : k1 - g0, p0 - h0 : p1 - h0, :, None]
             np.multiply(factors, de_part[p0:p1, None], out=part)
-            part *= (nt[p0:p1] if pad else nt)[..., r0 - b0 : r1 - b0, :]
+            part *= nt[p0:p1] if pad else nt
             for a_i, products in enumerate(part, k0):  # each a_i adds its a_c in the window
                 q0, q1 = max(p0, lo - a_i), min(p1, hi - a_i)
-                slabs[a_i, a_i + q0 - lo : a_i + q1 - lo, r0:r1] += products[q0 - p0 : q1 - p0]
-        # c_c = co - i1 + a_i grows with a_i, so blocks of c_c rows taken in
-        # order, each run over ascending a_i, still sum each cell in ascending a_i.
-        try:
-            if long_runs:  # numpy copies operands whose runs are shorter than its ufunc buffer
-                bufsize = np.setbufsize(16)  # (8,192 cells); long runs it reads in place
-            if pad:
-                # nt_rows holds a block's nt_part rows in `slots`, c1 zeros after each and
-                # before the first, so nt[a_c, c_c, w] (shifted by a_c) is 0 where de_part is.
-                # A padded product is (head * 0) * 0 = +0.0, never inf * 0: head, a partial
-                # product of a real term, is at most C(n, n//2).
-                nt_rows = np.zeros(c1 + rows * width)
-                slots = view(nt_rows, c1 * cell, (rows, i0 + 1), (width * cell, cell))
-            term = np.empty((run, min(c1 + 1, span + run - 1), rows, width))
-            for b0, k0 in product(range(0, c0 + 1, rows), range(first, min(i1 + 1, hi), run)):
-                b1, k1 = min(b0 + rows, c0 + 1), min(k0 + run, i1 + 1, hi)
-                if (k0 - first) % group == 0:  # the next a_i: head over the a_c they read
-                    g0, g1 = k0, min(k0 + group, i1 + 1, hi)
-                    h0, h1 = max(0, lo - g1 + 1), min(c1 + 1, hi - g0)
-                    head = at_part[g0:g1, h0:h1] * co_part[g0:g1, :, b0:b1]
-                if k0 == first:  # a new block of c_c rows: the nt_part rows it reads
-                    nt = nt_part[b0:b1].copy()
-                    if pad:
-                        slots[: b1 - b0] = nt
-                        nt = view(nt_rows, 0, (c1 + 1, b1 - b0, width), (cell, width * cell, cell))
-                if e0 <= i1 - k1 + 1 + b0 and i1 - k0 + b1 <= e1:  # the block lies in the band
-                    add(k0, k1, b0, b1)
-                else:  # across an edge, each a_i over its c_c rows in the band; none if outside
-                    for a_i in range(max(k0, b0 + i1 - e1 + 1), min(k1, b1 + i1 - e0)):
-                        add(a_i, a_i + 1, max(b0, e0 - i1 + a_i), min(b1, e1 - i1 + a_i))
-        except BaseException as failure:  # for the calling thread to raise
-            failures[e0] = failure
-        if long_runs:  # the calling thread's later ufuncs buffer as before
+                slabs[a_i, a_i + q0 - lo : a_i + q1 - lo, b0:b1] += products[q0 - p0 : q1 - p0]
+    finally:
+        if long_runs:  # the caller's later ufuncs buffer as before
             np.setbufsize(bufsize)
-
-    pairs = (i1 + 1) * (c1 + 1)  # (a_i, a_c) whose row a_i + a_c lies in the window
-    if not whole:
-        pairs = sum(min(c1 + 1, hi - a) - max(0, lo - a) for a in range(first, min(i1 + 1, hi)))
-    work = pairs * (i0 + 1) * (c0 + 1)  # arm compositions
-    bands = work // _BAND_WORK  # _band_edges would add 9% to an n=50 fill
-    if bands > 1:  # one per usable CPU at most
-        affinity = getattr(os, "sched_getaffinity", None)
-        bands = min(bands, len(affinity(0)) if affinity else os.cpu_count() or 1)
-    edges, failures = _band_edges(i1, c0, bands) if bands > 1 else [0, i1 + c0 + 1], {}
-    threads = [threading.Thread(target=band, args=edge) for edge in zip(edges[1:-1], edges[2:])]
-    for thread in threads:
-        thread.start()
-    band(*edges[:2])  # this thread fills the first band
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise failures[min(failures)]
     return box

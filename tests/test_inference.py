@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from defiers import inference, likelihood, reports
+from defiers import inference, reports
 from defiers.combinatorics import choose_table
 from defiers.core import (
     CompletelyRandomized,
@@ -541,24 +541,22 @@ def test_a_box_and_its_scan_give_the_same_suspects(monotone):
     assert hits.tolist() == box_hits.tolist() and values.tolist() == box_values.tolist()
 
 
-def test_analyze_stages_keep_their_scratch_small_on_the_published_table(monkeypatch):
-    # Each stage's traced peak above what it began with: the fill of the whole box
-    # on two bands, beyond the 71 MB box it returns (3 MB of that is the n = 612
-    # binomial table, built afresh), the scan on two bands, which fills the box in
-    # windows from that table, mle + monotonicity_mle on the scan, then the
-    # posterior and its credible set.  About 3.9, 12.7, 0.1 and 2.9 MB: the fill's
-    # 0.9 MB beside the table is two bands' 228 KB padded blocks, head and nt rows,
-    # and no ufunc buffers; the scan's is its 3.7 MB window of five planes, the kept
-    # values while they are cut back (up to 2**18 + 2**16 values with 32-bit
-    # positions, the partition's 64-bit order and its gathers) and the 0.5 MB of
-    # planes de = 0 and co = 0.  The three analysis stages from nothing, the table
-    # included, hold about 15.7 MB.
+def test_analyze_stages_keep_their_scratch_small_on_the_published_table():
+    # Each stage's traced peak above what it began with: the fill of the whole box,
+    # beyond the 71 MB box it returns (3 MB of that is the n = 612 binomial table,
+    # built afresh), the scan, which fills the box in windows from that table,
+    # mle + monotonicity_mle on the scan, then the posterior and its credible set.
+    # About 3.5, 12.7, 0.1 and 2.9 MB: the fill's 0.5 MB beside the table is one
+    # 228 KB padded block, its head and nt rows, and no ufunc buffers; the scan's
+    # is its 3.7 MB window of five planes, the kept values while they are cut back
+    # (up to 2**18 + 2**16 values with 32-bit positions, the partition's 64-bit
+    # order and its gathers) and the 0.5 MB of planes de = 0 and co = 0.  The three
+    # analysis stages from nothing, the table included, hold about 15.7 MB.
     x, design = ExperimentData(69, 237, 26, 280), CompletelyRandomized(306, 612)
-    monkeypatch.setattr(likelihood.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     inference._scan.cache_clear()
     choose_table.cache_clear()
     stages = [
-        (4_500_000, lambda: assignment_count_grid(x).nbytes),
+        (4_000_000, lambda: assignment_count_grid(x).nbytes),
         (14_000_000, lambda: inference._scan(x) and 0),
         (1_000_000, lambda: (mle(x, design), monotonicity_mle(x, design)) and 0),
         (3_000_000, lambda: smallest_credible_set(posterior(x, 0.95)) and 0),

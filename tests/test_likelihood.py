@@ -1,7 +1,6 @@
 import hashlib
 import math
 import sys
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -228,13 +227,7 @@ def test_box_equals_the_reference_grid(counts):
     ],
 )
 def test_box_is_bit_equal_to_the_reference(counts):
-    # filled as one band, and as two and three bands of box columns on threads
-    x = ExperimentData(*counts)
-    reference = reference_grid(x)
-    for bands in (1, 2, 3):
-        with pytest.MonkeyPatch.context() as mp:
-            fill_in_bands(mp, bands)
-            assert_box_is_the_reference(x, reference)
+    assert_box_is_the_reference(ExperimentData(*counts))
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,11 +267,7 @@ def test_box_at_planes_match_the_exact_chain(counts):
 
 def test_smoking_box_at_planes_match_the_exact_chain_at_every_band_count():
     x = ExperimentData(69, 237, 26, 280)
-    exact = at_plane_sums(x)
-    for bands in (1, 2, 3):
-        with pytest.MonkeyPatch.context() as mp:
-            fill_in_bands(mp, bands)
-            assert_at_planes_are_exact_within_the_fill_bound(x, exact)
+    assert_at_planes_are_exact_within_the_fill_bound(x, at_plane_sums(x))
 
 
 # Each relabeling of a table (i1, i0, c1, c0), with the positions in (at, co, de, nt)
@@ -338,28 +327,23 @@ def assert_relabeled_boxes_agree(counts, planes):
 
 
 @pytest.mark.parametrize(
-    "counts,bands,planes",
+    "counts,planes",
     [
-        ((69, 237, 26, 280), 2, 40),  # the smoking table: padded, its relabelings not
-        ((80, 226, 26, 280), 2, 7),  # the largest box of perfbench's analyze-612 tables
-        ((50, 11, 23, 31), 1, 1),  # organ donation
-        ((50, 11, 23, 31), 2, 7),
-        ((50, 11, 23, 31), 1, 40),
-        ((200, 5, 180, 3), 2, 40),
-        ((100, 0, 100, 0), 1, 1),  # all takeup: the arm swap is the table itself
-        ((100, 0, 100, 0), 2, 7),
+        ((69, 237, 26, 280), 40),  # the smoking table: padded, its relabelings not
+        ((80, 226, 26, 280), 7),  # the largest box of perfbench's analyze-612 tables
+        ((50, 11, 23, 31), 1),  # organ donation
+        ((50, 11, 23, 31), 7),
+        ((50, 11, 23, 31), 40),
+        ((200, 5, 180, 3), 40),
+        ((100, 0, 100, 0), 1),  # all takeup: the arm swap is the table itself
+        ((100, 0, 100, 0), 7),
     ],
+    # each case keeps its id from when it also named a band count, 1 or 2
+    ids=["counts0-2-40", "counts1-2-7", "counts2-1-1", "counts3-2-7"]
+    + ["counts4-1-40", "counts5-2-40", "counts6-1-1", "counts7-2-7"],
 )
-def test_relabeled_tables_fill_the_same_counts(counts, bands, planes):
-    with pytest.MonkeyPatch.context() as mp:
-        fill_in_bands(mp, bands)
-        assert_relabeled_boxes_agree(counts, planes)
-
-
-def fill_in_bands(mp, bands):
-    """Every fill takes ``bands`` bands, or one per box column if it has fewer."""
-    mp.setattr(likelihood, "_BAND_WORK", 1)
-    mp.setattr(likelihood.os, "sched_getaffinity", lambda pid: set(range(bands)))
+def test_relabeled_tables_fill_the_same_counts(counts, planes):
+    assert_relabeled_boxes_agree(counts, planes)
 
 
 def row_cells(i1, i0, c1, c0):
@@ -408,84 +392,18 @@ def test_blocked_fill_is_bit_equal_to_the_reference(block_cells, counts):
             assert_box_is_the_reference(ExperimentData(*counts), reference)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    counts=tables(),
-    bands=st.integers(1, 3),
-    block_cells=st.sampled_from([one_row, ragged, runs_of_two, every_a_i]),
-)
-@example(counts=(4, 3, 2, 5), bands=2, block_cells=ragged)  # blocks inside, outside and across
-def test_banded_fill_is_bit_equal_to_the_reference(counts, bands, block_cells):
-    reference = reference_grid(ExperimentData(*counts))
-    for padded in (False, True):
-        with pytest.MonkeyPatch.context() as mp:
-            fill_in_blocks(mp, counts, block_cells, padded)
-            fill_in_bands(mp, bands)
-            assert_box_is_the_reference(ExperimentData(*counts), reference)
+def test_a_failed_fill_raises_and_restores_the_ufunc_buffer(monkeypatch):
+    x = ExperimentData(2, 70, 20, 5)  # runs of 71 cells: the fill sets a 16-cell buffer
+    bufsize, multiply = np.getbufsize(), np.multiply
 
+    def multiply_then_fail(*args, **kwargs):
+        multiply(*args, **kwargs)
+        raise MemoryError("a block failed")
 
-@settings(max_examples=150, deadline=None)
-@given(counts=tables(max_n=200), bands=st.integers(1, 8))
-def test_bands_partition_the_columns_into_even_shares(counts, bands):
-    i1, _, _, c0 = counts
-    edges = likelihood._band_edges(i1, c0, bands)
-    assert edges[0] == 0 and edges[-1] == i1 + c0 + 1 and len(edges) - 1 <= bands
-    assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
-    # (a_i, c_c) pairs per box column co = i1 - a_i + c_c
-    a_i, c_c = np.indices((i1 + 1, c0 + 1))
-    per_column = np.bincount((i1 - a_i + c_c).ravel())
-    shares = [per_column[lo:hi].sum() for lo, hi in zip(edges, edges[1:])]
-    # each band is within one column of an even split
-    even = per_column.sum() / bands
-    assert all(abs(share - even) < per_column.max() for share in shares)
-
-
-def test_bands_follow_cpu_count_where_sched_getaffinity_is_missing(monkeypatch):
-    # os.sched_getaffinity exists only on some platforms (Linux, not macOS or Windows)
-    x = ExperimentData(12, 13, 7, 18)
-    reference, band_edges, bands = reference_grid(x), likelihood._band_edges, []
-    monkeypatch.setattr(likelihood, "_BAND_WORK", 1)
-    monkeypatch.delattr(likelihood.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(
-        likelihood, "_band_edges", lambda i1, c0, k: bands.append(k) or band_edges(i1, c0, k)
-    )
-    for cpus in (None, 1, 3):
-        monkeypatch.setattr(likelihood.os, "cpu_count", lambda: cpus)
-        assert_box_is_the_reference(x, reference)
-    assert bands == [3]  # an unknown count or one CPU fills one band
-
-
-def test_fills_up_to_n_60_run_on_the_calling_thread():
-    # the heatmap and the Bayes pass stop at n = 60, where a box has at most
-    # 16**4 compositions: far below one band's work
-    n = 60
-    assert max(
-        (i1 + 1) * (i0 + 1) * (c1 + 1) * (n - i1 - i0 - c1 + 1)
-        for i1 in range(n + 1)
-        for i0 in range(n - i1 + 1)
-        for c1 in range(n - i1 - i0 + 1)
-    ) == 16**4 < likelihood._BAND_WORK
-
-
-def test_banded_fill_joins_its_threads_and_raises_a_band_failure(monkeypatch):
-    x = ExperimentData(12, 13, 7, 18)
-    box, threads = assignment_count_grid(x), threading.active_count()
-    fill_in_bands(monkeypatch, 3)
-    assert np.array_equal(assignment_count_grid(x).view(np.int64), box.view(np.int64))
-    assert threading.active_count() == threads
-
-    # every band calls np.multiply; it fails on the bands the fill started threads for
-    caller, multiply = threading.current_thread(), np.multiply
-
-    def multiply_on_the_caller_only(*args, **kwargs):
-        if threading.current_thread() is not caller:
-            raise MemoryError("a band failed")
-        return multiply(*args, **kwargs)
-
-    monkeypatch.setattr(likelihood.np, "multiply", multiply_on_the_caller_only)
-    with pytest.raises(MemoryError, match="a band failed"):
+    monkeypatch.setattr(likelihood.np, "multiply", multiply_then_fail)
+    with pytest.raises(MemoryError, match="a block failed"):
         assignment_count_grid(x)
-    assert threading.active_count() == threads
+    assert np.getbufsize() == bufsize  # the caller's ufuncs buffer as before
 
 
 # SHA-256 of the smoking table's box bytes, shape (96, 350, 264)
@@ -493,24 +411,18 @@ SMOKING_BOX_SHA256 = "fe3ddd78179cf14d0f87be18b27156a972889f3358ac0f5b38dd8e2771
 
 
 def test_smoking_box_bytes_are_pinned_at_every_band_count():
-    x = ExperimentData(69, 237, 26, 280)
-    for bands in (1, 2, 3):
-        with pytest.MonkeyPatch.context() as mp:
-            fill_in_bands(mp, bands)
-            box = assignment_count_grid(x)
-        assert box.shape == (96, 350, 264)
-        assert hashlib.sha256(box.tobytes()).hexdigest() == SMOKING_BOX_SHA256
+    box = assignment_count_grid(ExperimentData(69, 237, 26, 280))
+    assert box.shape == (96, 350, 264)
+    assert hashlib.sha256(box.tobytes()).hexdigest() == SMOKING_BOX_SHA256
 
 
 def test_smoking_box_bytes_are_pinned_over_windows_of_every_size():
-    # each window filled alone, into a reused buffer, at one band and at two
+    # each window filled alone, into a reused buffer
     x = ExperimentData(69, 237, 26, 280)
-    for planes, bands in ((1, 1), (7, 2), (40, 1)):
-        with pytest.MonkeyPatch.context() as mp:
-            fill_in_bands(mp, bands)
-            digest = hashlib.sha256()
-            for _, window in box_windows(x, planes):
-                digest.update(window.tobytes())
+    for planes in (1, 7, 40):
+        digest = hashlib.sha256()
+        for _, window in box_windows(x, planes):
+            digest.update(window.tobytes())
         assert digest.hexdigest() == SMOKING_BOX_SHA256
 
 
@@ -518,17 +430,15 @@ def test_smoking_box_bytes_are_pinned_over_windows_of_every_size():
 @given(
     counts=tables(),
     planes=st.integers(1, 5),
-    bands=st.integers(1, 3),
     block_cells=st.sampled_from([one_row, ragged, runs_of_two, every_a_i]),
 )
-@example(counts=(4, 3, 2, 5), planes=2, bands=2, block_cells=every_a_i)  # runs across windows
-def test_windows_of_the_box_are_bit_equal_to_the_reference(counts, planes, bands, block_cells):
+@example(counts=(4, 3, 2, 5), planes=2, block_cells=every_a_i)  # runs across windows
+def test_windows_of_the_box_are_bit_equal_to_the_reference(counts, planes, block_cells):
     x = ExperimentData(*counts)
     reference = reference_grid(x)
     for padded in (False, True):
         with pytest.MonkeyPatch.context() as mp:
             fill_in_blocks(mp, counts, block_cells, padded)
-            fill_in_bands(mp, bands)
             box = np.concatenate([window.copy() for _, window in box_windows(x, planes)])
         assert np.array_equal(canonical(box, x.n).view(np.int64), reference.view(np.int64))
 
